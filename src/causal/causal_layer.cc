@@ -13,11 +13,15 @@ std::size_t CausalLayer::index_of(NodeAddress address) {
   return it->second;
 }
 
-void CausalLayer::ensure_matrix(Matrix& m, std::size_t n) const {
-  if (m.size() < n) m.resize(n);
-  for (auto& row : m) {
-    if (row.size() < n) row.resize(n, 0);
+void CausalLayer::ensure_matrix(Matrix& m, std::size_t n) {
+  if (m.n >= n) return;
+  std::vector<std::uint64_t> cells(n * n, 0);
+  for (std::size_t k = 0; k < m.n; ++k) {
+    std::copy_n(m.cells.begin() + static_cast<std::ptrdiff_t>(k * m.n), m.n,
+                cells.begin() + static_cast<std::ptrdiff_t>(k * n));
   }
+  m.n = n;
+  m.cells = std::move(cells);
 }
 
 CausalLayer::CausalLayer(net::WiredTransport& inner,
@@ -79,24 +83,21 @@ void CausalLayer::send(NodeAddress src, NodeAddress dst,
   NodeState& sender = nodes_[si];
   ensure_matrix(sender.sent, n);
 
-  auto wrapped = std::make_shared<CausalPayload>();
-  wrapped->inner = std::move(payload);
-  wrapped->sent_snapshot = sender.sent;  // snapshot before counting this send
-  wrapped->src_index = si;
-  wrapped->dst_index = di;
-
-  sender.sent[si][di] += 1;
+  // Snapshot before counting this send.
+  net::PayloadPtr wrapped =
+      net::make_message<CausalPayload>(std::move(payload), sender.sent, si, di);
+  sender.sent.cell(si, di) += 1;
   inner_.send(src, dst, std::move(wrapped), priority);
 }
 
 bool CausalLayer::deliverable(const NodeState& node,
                               const CausalPayload& payload) const {
+  const Matrix& st = payload.sent_snapshot;
   const std::size_t j = payload.dst_index;
-  for (std::size_t k = 0; k < payload.sent_snapshot.size(); ++k) {
-    const auto& row = payload.sent_snapshot[k];
-    const std::uint64_t required = j < row.size() ? row[j] : 0;
+  if (j >= st.n) return true;
+  for (std::size_t k = 0; k < st.n; ++k) {
     const std::uint64_t have = k < node.deliv.size() ? node.deliv[k] : 0;
-    if (have < required) return false;
+    if (have < st.cells[k * st.n + j]) return false;
   }
   return true;
 }
@@ -110,9 +111,18 @@ void CausalLayer::deliver(Shim& shim, NodeState& node,
   ensure_matrix(node.sent, n);
   if (node.deliv.size() < n) node.deliv.resize(n, 0);
 
-  for (std::size_t k = 0; k < wrapped->sent_snapshot.size(); ++k) {
-    for (std::size_t l = 0; l < wrapped->sent_snapshot[k].size(); ++l) {
-      node.sent[k][l] = std::max(node.sent[k][l], wrapped->sent_snapshot[k][l]);
+  // Max-merge ST into SENT_j.  Rows are contiguous in both buffers; when
+  // no node attached since the send (the widths match) the whole matrix is
+  // a single run.
+  const Matrix& st = wrapped->sent_snapshot;
+  const bool same_width = node.sent.n == st.n;
+  const std::size_t runs = same_width ? 1 : st.n;
+  const std::size_t run_length = same_width ? st.n * st.n : st.n;
+  for (std::size_t k = 0; k < runs; ++k) {
+    std::uint64_t* into = node.sent.cells.data() + k * node.sent.n;
+    const std::uint64_t* from = st.cells.data() + k * st.n;
+    for (std::size_t l = 0; l < run_length; ++l) {
+      into[l] = std::max(into[l], from[l]);
     }
   }
   // SENT_j[i][j] must account for this message, which the snapshot (taken
@@ -121,10 +131,8 @@ void CausalLayer::deliver(Shim& shim, NodeState& node,
   // message is delivered on the sender's own matrix, which already counted
   // this send at send() time — incrementing again would inflate SENT[i][i]
   // past DELIV[i] and wedge every later self-send in the buffer.
-  const auto& src_row = wrapped->sent_snapshot[wrapped->src_index];
-  const std::uint64_t at_send =
-      wrapped->dst_index < src_row.size() ? src_row[wrapped->dst_index] : 0;
-  auto& cell = node.sent[wrapped->src_index][wrapped->dst_index];
+  const std::uint64_t at_send = st.at(wrapped->src_index, wrapped->dst_index);
+  auto& cell = node.sent.cell(wrapped->src_index, wrapped->dst_index);
   cell = std::max(cell, at_send + 1);
   node.deliv[wrapped->src_index] += 1;
 

@@ -73,7 +73,20 @@ class CausalLayer final : public net::WiredTransport {
   [[nodiscard]] std::uint64_t delayed_total() const { return delayed_total_; }
 
  private:
-  using Matrix = std::vector<std::vector<std::uint64_t>>;
+  // An n x n matrix in one row-major buffer: cell (k, l) is at k * n + l.
+  // A snapshot is therefore one allocation, and a merge of two matrices of
+  // the same width is one contiguous max over n * n cells.
+  struct Matrix {
+    std::size_t n = 0;
+    std::vector<std::uint64_t> cells;
+
+    [[nodiscard]] std::uint64_t at(std::size_t k, std::size_t l) const {
+      return k < n && l < n ? cells[k * n + l] : 0;
+    }
+    std::uint64_t& cell(std::size_t k, std::size_t l) {
+      return cells[k * n + l];
+    }
+  };
 
   struct CausalPayload final : net::MessageBase {
     net::PayloadPtr inner;
@@ -81,11 +94,15 @@ class CausalLayer final : public net::WiredTransport {
     std::size_t src_index;
     std::size_t dst_index;
 
+    CausalPayload(net::PayloadPtr inner_in, const Matrix& snapshot,
+                  std::size_t src, std::size_t dst)
+        : inner(std::move(inner_in)),
+          sent_snapshot(snapshot),
+          src_index(src),
+          dst_index(dst) {}
     [[nodiscard]] const char* name() const override { return inner->name(); }
     [[nodiscard]] std::size_t wire_size() const override {
-      std::size_t cells = 0;
-      for (const auto& row : sent_snapshot) cells += row.size();
-      return inner->wire_size() + 8 * cells;
+      return inner->wire_size() + 8 * sent_snapshot.cells.size();
     }
     [[nodiscard]] std::string describe() const override {
       return inner->describe();
@@ -113,7 +130,8 @@ class CausalLayer final : public net::WiredTransport {
   };
 
   std::size_t index_of(NodeAddress address);
-  void ensure_matrix(Matrix& m, std::size_t n) const;
+  // Widens `m` to n x n, re-striding its rows when nodes attached since.
+  static void ensure_matrix(Matrix& m, std::size_t n);
   void on_wire_message(Shim& shim, const net::Envelope& envelope);
   bool deliverable(const NodeState& node, const CausalPayload& payload) const;
   void deliver(Shim& shim, NodeState& node, const net::Envelope& envelope);

@@ -34,7 +34,20 @@ class BumpArena {
   void* allocate(std::size_t bytes,
                  std::size_t align = alignof(std::max_align_t)) {
     if (bytes == 0) bytes = 1;
-    while (block_ < blocks_.size()) {
+    for (;; ++block_, offset_ = 0) {
+      if (block_ == blocks_.size()) {
+        // Chain a fresh block sized for the request.  Blocks are only
+        // max-aligned, so an over-aligned request reserves room to pad.
+        const std::size_t pad =
+            align > alignof(std::max_align_t) ? align - 1 : 0;
+        const std::size_t size =
+            bytes + pad > block_bytes_ ? bytes + pad : block_bytes_;
+        Block b;
+        b.data.reset(static_cast<char*>(::operator new(
+            size, std::align_val_t(alignof(std::max_align_t)))));
+        b.size = size;
+        blocks_.push_back(std::move(b));
+      }
       Block& b = blocks_[block_];
       const std::uintptr_t base =
           reinterpret_cast<std::uintptr_t>(b.data.get());
@@ -44,19 +57,7 @@ class BumpArena {
         offset_ = new_offset;
         return reinterpret_cast<void*>(aligned);
       }
-      ++block_;
-      offset_ = 0;
     }
-    // Chain a fresh block sized for the request.
-    const std::size_t size = bytes > block_bytes_ ? bytes : block_bytes_;
-    Block b;
-    b.data.reset(static_cast<char*>(
-        ::operator new(size, std::align_val_t(alignof(std::max_align_t)))));
-    b.size = size;
-    blocks_.push_back(std::move(b));
-    block_ = blocks_.size() - 1;
-    offset_ = bytes;  // fresh block is max-aligned, so no padding needed
-    return blocks_.back().data.get();
   }
 
   // Typed convenience: uninitialized storage for `n` objects of T.

@@ -98,6 +98,11 @@ class RequestId {
   [[nodiscard]] constexpr MhId mh() const { return mh_; }
   [[nodiscard]] constexpr std::uint32_t seq() const { return seq_; }
   [[nodiscard]] constexpr bool valid() const { return mh_.valid(); }
+  // Mh id in the high half, sequence number in the low half: a unique
+  // 64-bit key for hashing.
+  [[nodiscard]] constexpr std::uint64_t packed() const {
+    return (static_cast<std::uint64_t>(mh_.value()) << 32) | seq_;
+  }
 
   friend constexpr auto operator<=>(RequestId, RequestId) = default;
 
@@ -127,9 +132,7 @@ struct hash<rdp::common::Id<Tag, Rep>> {
 template <>
 struct hash<rdp::common::RequestId> {
   size_t operator()(rdp::common::RequestId id) const noexcept {
-    const std::uint64_t packed =
-        (static_cast<std::uint64_t>(id.mh().value()) << 32) | id.seq();
-    return std::hash<std::uint64_t>{}(packed);
+    return std::hash<std::uint64_t>{}(id.packed());
   }
 };
 }  // namespace std

@@ -9,18 +9,19 @@ void MetricsCollector::on_result_delivered(core::SimTime t, core::MhId,
                                            std::uint32_t /*attempt*/) {
   if (duplicate) {
     ++app_duplicates;
-    bump("rdp.results.duplicates");
+    bump(duplicates_, "rdp.results.duplicates");
     return;
   }
   ++results_delivered;
-  bump("rdp.results.delivered");
-  if (auto it = issue_time_.find(r); it != issue_time_.end()) {
-    delivery_latency_ms.add(t - it->second);
+  bump(delivered_, "rdp.results.delivered");
+  if (const core::SimTime* issued = issue_time_.find(r.packed())) {
+    delivery_latency_ms.add(t - *issued);
     if (registry_ != nullptr) {
-      registry_->histogram("rdp.delivery.latency_ms").add(t - it->second);
+      histogram(delivery_latency_, "rdp.delivery.latency_ms")
+          .add(t - *issued);
     }
   }
-  if (final && finals_delivered_.insert(r).second) {
+  if (final && finals_delivered_.insert(r.packed())) {
     ++requests_completed_at_mh_;
     // The result was already in flight when a crash reported the request
     // lost; the delivery supersedes the loss.

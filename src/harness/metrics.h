@@ -7,11 +7,19 @@
 // reason, hand-offs per target Mss, proxies per host) — so experiment
 // artifacts (CSV/JSON exports, time series) come from one source.  The
 // public fields remain the cheap in-process read path.
+//
+// Every hook does constant work without allocating: registry handles are
+// resolved on a series' first bump and cached (labeled families by the
+// label's numeric id), and the per-request bookkeeping lives in flat hash
+// maps keyed by RequestId::packed().
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/flat_map.h"
 #include "core/events.h"
 #include "obs/event_names.h"
 #include "obs/metrics_registry.h"
@@ -103,13 +111,13 @@ class MetricsCollector final : public core::RdpObserver {
   void on_request_issued(core::SimTime t, core::MhId, core::RequestId r,
                          core::NodeAddress) override {
     ++requests_issued;
-    issue_time_[r] = t;
-    bump("rdp.requests.issued");
+    *issue_time_.try_emplace(r.packed()).first = t;
+    bump(issued_, "rdp.requests.issued");
   }
   void on_request_completed(core::SimTime, core::MhId,
                             core::RequestId) override {
     ++requests_completed;
-    bump("rdp.requests.completed");
+    bump(completed_, "rdp.requests.completed");
   }
   void on_request_lost(core::SimTime, core::MhId, core::RequestId r,
                        core::RequestLossReason reason) override {
@@ -117,20 +125,21 @@ class MetricsCollector final : public core::RdpObserver {
     // the Mh (only the Ack was still in flight), and a request can be
     // reported lost at more than one site; count each truly undelivered
     // request exactly once.
-    if (finals_delivered_.contains(r)) return;
+    if (finals_delivered_.contains(r.packed())) return;
     if (lost_requests_.insert(r).second) {
       ++requests_lost;
-      bump("rdp.requests.lost", {{"reason", obs::loss_reason_name(reason)}});
+      bump(lost_by_reason_, static_cast<std::size_t>(reason),
+           obs::loss_reason_name(reason));
     }
   }
   void on_result_forwarded(core::SimTime, core::MhId, core::RequestId,
                            std::uint32_t, core::NodeAddress,
                            std::uint32_t attempt, bool) override {
     ++result_forwards;
-    bump("rdp.results.forwarded");
+    bump(forwarded_, "rdp.results.forwarded");
     if (attempt > 1) {
       ++retransmissions;
-      bump("rdp.results.retransmissions");
+      bump(retransmitted_, "rdp.results.retransmissions");
     }
   }
   void on_result_delivered(core::SimTime t, core::MhId, core::RequestId r,
@@ -139,12 +148,12 @@ class MetricsCollector final : public core::RdpObserver {
   void on_ack_forwarded(core::SimTime, core::MhId, core::RequestId,
                         std::uint32_t, bool) override {
     ++acks_forwarded;
-    bump("rdp.acks.forwarded");
+    bump(acks_forwarded_, "rdp.acks.forwarded");
   }
   void on_update_currentloc(core::SimTime, core::MhId, core::NodeAddress,
                             core::NodeAddress) override {
     ++update_currentloc;
-    bump("rdp.update_currentloc");
+    bump(update_currentloc_, "rdp.update_currentloc");
   }
   void on_handoff_completed(core::SimTime, core::MhId, core::MssId,
                             core::MssId to, core::Duration latency,
@@ -152,10 +161,10 @@ class MetricsCollector final : public core::RdpObserver {
     ++handoffs;
     handoff_latency_ms.add(latency);
     handoff_state_bytes.add(static_cast<double>(bytes));
+    bump(handoffs_by_target_, to);
     if (registry_ != nullptr) {
-      registry_->counter("rdp.handoffs", {{"to", to.str()}}).increment();
-      registry_->histogram("rdp.handoff.latency_ms").add(latency);
-      registry_->histogram("rdp.handoff.state_bytes")
+      histogram(handoff_latency_, "rdp.handoff.latency_ms").add(latency);
+      histogram(handoff_bytes_, "rdp.handoff.state_bytes")
           .add(static_cast<double>(bytes));
     }
   }
@@ -163,90 +172,154 @@ class MetricsCollector final : public core::RdpObserver {
                         core::Duration latency) override {
     ++registrations;
     registration_latency_ms.add(latency);
-    bump("rdp.registrations", {{"mss", mss.str()}});
+    bump(registrations_by_mss_, mss);
   }
   void on_proxy_created(core::SimTime, core::MhId, core::NodeAddress host,
                         core::ProxyId) override {
     ++proxies_created;
     proxy_host_tally.add(host);
-    bump("rdp.proxies.created", {{"host", host.str()}});
+    bump(created_by_host_, host);
   }
   void on_proxy_deleted(core::SimTime, core::MhId, core::NodeAddress,
                         core::ProxyId, bool via_gc) override {
     ++proxies_deleted;
     if (via_gc) ++proxies_gc;
-    bump("rdp.proxies.deleted", {{"via", via_gc ? "gc" : "handshake"}});
+    bump(deleted_by_path_, via_gc ? 1 : 0, via_gc ? "gc" : "handshake");
   }
   void on_delproxy_with_pending(core::SimTime, core::MhId,
                                 core::ProxyId) override {
     ++delproxy_with_pending;
-    bump("rdp.anomalies.delproxy_with_pending");
+    bump(delproxy_with_pending_, "rdp.anomalies.delproxy_with_pending");
   }
   void on_mss_crashed(core::SimTime, core::MssId mss, std::size_t,
                       std::size_t) override {
     ++mss_crashes;
-    bump("rdp.mss.crashes", {{"mss", mss.str()}});
+    bump(crashes_by_mss_, mss);
   }
   void on_mss_restarted(core::SimTime, core::MssId mss, std::size_t) override {
     ++mss_restarts;
-    bump("rdp.mss.restarts", {{"mss", mss.str()}});
+    bump(restarts_by_mss_, mss);
   }
   void on_proxy_restored(core::SimTime, core::MhId, core::NodeAddress host,
                          core::ProxyId) override {
     ++proxies_restored;
-    bump("rdp.proxies.restored", {{"host", host.str()}});
+    bump(restored_by_host_, host);
   }
   void on_request_reissued(core::SimTime, core::MhId, core::RequestId,
                            int) override {
     ++requests_reissued;
-    bump("rdp.requests.reissued");
+    bump(reissued_, "rdp.requests.reissued");
   }
   void on_backup_promoted(core::SimTime, core::MssId primary, core::MssId,
                           std::size_t adopted) override {
     ++backup_promotions;
     proxies_adopted += adopted;
-    bump("rdp.replication.promotions", {{"primary", primary.str()}});
-    if (registry_ != nullptr && adopted > 0) {
-      registry_->counter("rdp.replication.proxies_adopted")
-          .increment(adopted);
-    }
+    bump(promotions_by_primary_, primary);
+    if (adopted > 0) bump(adopted_, "rdp.replication.proxies_adopted", adopted);
   }
   void on_mss_departed(core::SimTime, core::MssId mss,
                        std::uint64_t epoch) override {
     ++mss_departures;
     membership_epoch = epoch;
-    bump("rdp.membership.departures", {{"mss", mss.str()}});
-    if (registry_ != nullptr) {
-      registry_->gauge("rdp.rering.epoch").set(static_cast<double>(epoch));
-    }
+    bump(departures_by_mss_, mss);
+    set_epoch_gauge(epoch);
   }
   void on_mss_rejoined(core::SimTime, core::MssId mss,
                        std::uint64_t epoch) override {
     ++mss_rejoins;
     membership_epoch = epoch;
-    bump("rdp.membership.rejoins", {{"mss", mss.str()}});
-    if (registry_ != nullptr) {
-      registry_->gauge("rdp.rering.epoch").set(static_cast<double>(epoch));
-    }
+    bump(rejoins_by_mss_, mss);
+    set_epoch_gauge(epoch);
   }
   void on_primary_demoted(core::SimTime, core::MssId mss,
                           std::size_t dropped) override {
     ++primary_demotions;
-    bump("rdp.membership.demotions", {{"mss", mss.str()}});
-    if (registry_ != nullptr && dropped > 0) {
-      registry_->counter("rdp.membership.proxies_demoted").increment(dropped);
-    }
+    bump(demotions_by_mss_, mss);
+    if (dropped > 0) bump(demoted_, "rdp.membership.proxies_demoted", dropped);
   }
 
  private:
-  void bump(const std::string& name, const obs::Labels& labels = {}) {
-    if (registry_ != nullptr) registry_->counter(name, labels).increment();
+  using Counter = obs::MetricsRegistry::Counter;
+
+  // A counter family with one label.  Handles are indexed by a small
+  // number (an id's value + 1, slot 0 holding the invalid id; or an enum)
+  // and resolved on that key's first bump.
+  struct LabeledCounters {
+    const char* name;
+    const char* label;
+    std::vector<Counter*> handles;
+  };
+
+  void bump(Counter*& handle, const char* name, std::uint64_t by = 1) {
+    if (registry_ == nullptr) return;
+    if (handle == nullptr) handle = &registry_->counter(name);
+    handle->increment(by);
+  }
+  template <typename Render>
+  void bump(LabeledCounters& family, std::size_t key, Render render) {
+    if (registry_ == nullptr) return;
+    if (key >= family.handles.size()) family.handles.resize(key + 1);
+    Counter*& handle = family.handles[key];
+    if (handle == nullptr) {
+      handle = &registry_->counter(family.name, {{family.label, render()}});
+    }
+    handle->increment();
+  }
+  void bump(LabeledCounters& family, std::size_t key, const char* value) {
+    bump(family, key, [value] { return std::string(value); });
+  }
+  template <typename Tag>
+  void bump(LabeledCounters& family, common::Id<Tag> id) {
+    bump(family, id.valid() ? std::size_t{id.value()} + 1 : 0,
+         [id] { return id.str(); });
+  }
+  stats::Histogram& histogram(stats::Histogram*& handle, const char* name) {
+    if (handle == nullptr) handle = &registry_->histogram(name);
+    return *handle;
+  }
+  void set_epoch_gauge(std::uint64_t epoch) {
+    if (registry_ == nullptr) return;
+    if (epoch_gauge_ == nullptr) {
+      epoch_gauge_ = &registry_->gauge("rdp.rering.epoch");
+    }
+    epoch_gauge_->set(static_cast<double>(epoch));
   }
 
   obs::MetricsRegistry* registry_ = nullptr;
-  std::map<core::RequestId, core::SimTime> issue_time_;
-  std::set<core::RequestId> finals_delivered_;
-  std::set<core::RequestId> lost_requests_;
+  Counter* issued_ = nullptr;
+  Counter* completed_ = nullptr;
+  Counter* forwarded_ = nullptr;
+  Counter* retransmitted_ = nullptr;
+  Counter* acks_forwarded_ = nullptr;
+  Counter* update_currentloc_ = nullptr;
+  Counter* delproxy_with_pending_ = nullptr;
+  Counter* reissued_ = nullptr;
+  Counter* duplicates_ = nullptr;
+  Counter* delivered_ = nullptr;
+  Counter* adopted_ = nullptr;
+  Counter* demoted_ = nullptr;
+  LabeledCounters lost_by_reason_{"rdp.requests.lost", "reason", {}};
+  LabeledCounters handoffs_by_target_{"rdp.handoffs", "to", {}};
+  LabeledCounters registrations_by_mss_{"rdp.registrations", "mss", {}};
+  LabeledCounters created_by_host_{"rdp.proxies.created", "host", {}};
+  LabeledCounters deleted_by_path_{"rdp.proxies.deleted", "via", {}};
+  LabeledCounters crashes_by_mss_{"rdp.mss.crashes", "mss", {}};
+  LabeledCounters restarts_by_mss_{"rdp.mss.restarts", "mss", {}};
+  LabeledCounters restored_by_host_{"rdp.proxies.restored", "host", {}};
+  LabeledCounters promotions_by_primary_{"rdp.replication.promotions",
+                                         "primary", {}};
+  LabeledCounters departures_by_mss_{"rdp.membership.departures", "mss", {}};
+  LabeledCounters rejoins_by_mss_{"rdp.membership.rejoins", "mss", {}};
+  LabeledCounters demotions_by_mss_{"rdp.membership.demotions", "mss", {}};
+  stats::Histogram* handoff_latency_ = nullptr;
+  stats::Histogram* handoff_bytes_ = nullptr;
+  stats::Histogram* delivery_latency_ = nullptr;
+  obs::MetricsRegistry::Gauge* epoch_gauge_ = nullptr;
+
+  // Keyed by RequestId::packed().
+  common::FlatMap<core::SimTime> issue_time_;
+  common::FlatMap<common::NoValue> finals_delivered_;
+  std::set<core::RequestId> lost_requests_;  // touched only by losses
   std::uint64_t requests_completed_at_mh_ = 0;
 
  public:

@@ -17,6 +17,12 @@
 // transports themselves charge — so ledger totals reconcile byte-for-byte
 // with WiredNetwork::bytes_sent() and WirelessChannel::{up,down}link_bytes().
 //
+// A frame costs constant work and no allocation: each concrete message
+// type's classification rule and each message name's row are resolved on
+// first sighting and cached, tallies live in fixed (link, purpose) cells
+// per name, per-Mh energy in a vector indexed by MhId, and every registry
+// series is looked up once, at its first use.
+//
 // On top of the byte ledger sits a per-Mh energy model: a configurable cost
 // per wireless byte/frame transmitted and received by the mobile host.
 // Transmissions are charged at send time (the radio spends the airtime even
@@ -31,17 +37,17 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <unordered_set>
+#include <vector>
 
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "net/message.h"
 #include "net/wired.h"
 #include "net/wireless.h"
+#include "obs/metrics_registry.h"
 #include "stats/table.h"
 
 namespace rdp::obs {
-
-class MetricsRegistry;
 
 enum class LinkKind {
   kWired = 0,
@@ -192,12 +198,39 @@ class CostLedger {
     std::uint64_t frames = 0;
     std::uint64_t bytes = 0;
   };
-  struct MessageKey {
-    int link;  // LinkKind as int, for ordering
-    int purpose;
-    std::string message;
-    auto operator<=>(const MessageKey&) const = default;
+  // How a message type's purpose class is decided.  Resolved once per
+  // concrete type (rule_of), then applied with a static_cast.
+  enum class Rule : std::uint8_t {
+    kByName,          // the name's fixed class (kOther when it has none)
+    kUplinkRequest,   // request-bearing, one first-sighting set per hop:
+    kForwardRequest,  //   the first sighting of the RequestId is app, a
+    kServerRequest,   //   repeat is a re-issue (recovery)
+    kMipRequest,
+    kResultForward,   // attempt > 1 is recovery, else app
+    kDownlinkResult,  // attempt > 1 is recovery, else app
+    kMipTunnel,       // attempt > 1 is recovery, else tunnel
+    kArqData,         // ARQ framing: attempt > 1 is recovery
   };
+  static constexpr int kSightingHops = 4;  // the four request rules
+  // One message name: its fixed class and its tallies per (link, purpose).
+  struct NameRow {
+    std::string name;
+    PurposeClass by_name;
+    Cell cells[kLinkKindCount][kPurposeClassCount] = {};
+  };
+  struct MhEnergy {
+    double spent = 0;  // > 0 exactly when the Mh was ever charged
+    MetricsRegistry::Gauge* spent_gauge = nullptr;
+    MetricsRegistry::Gauge* remaining_gauge = nullptr;
+  };
+
+  [[nodiscard]] Rule rule_of(const net::MessageBase& message);
+  // Index into names_ of the row for `name`, keyed by the pointer (message
+  // names are string literals) and merged by text on first sighting.
+  [[nodiscard]] std::size_t row_of(const char* name);
+  // Rows in (name) order, as the exports list them.
+  [[nodiscard]] std::vector<const NameRow*> rows_by_name() const;
+  [[nodiscard]] Cell class_cell(LinkKind link, PurposeClass purpose) const;
 
   // Classify by concrete type / name.  Stateful for request-bearing
   // messages: the first sighting of a RequestId on each hop is application
@@ -207,7 +240,8 @@ class CostLedger {
   PurposeClass classify(const net::MessageBase& message);
   // Stateless subset, safe to re-evaluate at delivery time (downlink
   // classes depend only on the message's own fields).
-  static PurposeClass classify_downlink(const net::MessageBase& message);
+  PurposeClass classify_downlink(const net::MessageBase& message, Rule rule);
+  PurposeClass first_sighting(int hop, common::RequestId request);
 
   void account(LinkKind link, PurposeClass purpose,
                const net::MessageBase& outer, std::uint64_t size);
@@ -216,19 +250,25 @@ class CostLedger {
   CostConfig config_;
   MetricsRegistry* registry_ = nullptr;
 
-  Cell class_cells_[kLinkKindCount][kPurposeClassCount];
+  common::FlatMap<Rule> rules_;                 // by &typeid(message)
+  common::FlatMap<std::uint32_t> name_index_;  // by name pointer
+  std::vector<NameRow> names_;                 // in first-sighting order
   double class_energy_[kPurposeClassCount] = {};
-  std::map<MessageKey, Cell> messages_;
-  std::map<common::MhId, double> energy_spent_;
+  MetricsRegistry::Counter* bytes_counters_[kLinkKindCount]
+                                           [kPurposeClassCount] = {};
+  MetricsRegistry::Counter* frames_counters_[kLinkKindCount]
+                                            [kPurposeClassCount] = {};
+
+  std::vector<MhEnergy> energy_;  // indexed by MhId value
   double energy_total_ = 0;
   double max_spent_ = 0;
+  MetricsRegistry::Gauge* spent_total_gauge_ = nullptr;
+  MetricsRegistry::Gauge* remaining_min_gauge_ = nullptr;
 
   // First-sighting sets backing the re-issue detection, one per hop so a
-  // request's normal wired echo is not mistaken for a duplicate.
-  std::unordered_set<common::RequestId> seen_uplink_requests_;
-  std::unordered_set<common::RequestId> seen_forward_requests_;
-  std::unordered_set<common::RequestId> seen_server_requests_;
-  std::unordered_set<common::RequestId> seen_mip_requests_;
+  // request's normal wired echo is not mistaken for a duplicate.  Keyed by
+  // RequestId::packed().
+  std::array<common::FlatMap<common::NoValue>, kSightingHops> seen_;
 };
 
 }  // namespace rdp::obs

@@ -1,12 +1,15 @@
 // Bounded ring buffer of recent protocol events ("flight recorder").
 //
-// Keeps the last N events of the observer stream as formatted lines so
-// that, when something goes wrong late in a long run — a test failure, an
-// invariant violation, an on_request_lost — the investigation starts with
-// the tail of protocol history instead of a bare counter.  The fault
-// subsystem also records its injected faults and wire-level drop decisions
-// here (FaultInjector::set_flight_recorder), which plain RdpObserver hooks
-// never see.
+// Keeps the last N events of the observer stream so that, when something
+// goes wrong late in a long run — a test failure, an invariant violation,
+// an on_request_lost — the investigation starts with the tail of protocol
+// history instead of a bare counter.  The fault subsystem also records its
+// injected faults and wire-level drop decisions here
+// (FaultInjector::set_flight_recorder), which plain RdpObserver hooks never
+// see.
+//
+// The tail is almost never read, so a hook only copies its arguments into
+// a fixed-size record in the ring; the text is formatted by dump().
 #pragma once
 
 #include <cstddef>
@@ -107,13 +110,35 @@ class FlightRecorder final : public core::RdpObserver {
                             int) override;
 
  private:
+  // One event as its raw arguments; which fields are meaningful depends on
+  // the hook.  Free-form record() lines keep their text in text_, at the
+  // same slot.
   struct Entry {
     common::SimTime at;
-    std::string line;
+    core::Hook hook = core::Hook::kProxyCreated;
+    bool text = false;
+    bool flag_a = false;
+    bool flag_b = false;
+    core::RequestId request;
+    std::uint32_t mh = 0;
+    std::uint32_t id_a = 0;  // proxy, host, server, Mss or loss reason
+    std::uint32_t id_b = 0;  // second address or Mss
+    std::uint32_t seq = 0;
+    std::uint32_t attempt = 0;
+    std::int64_t value = 0;  // a duration in micros, or a signed count
+    std::uint64_t count_a = 0;
+    std::uint64_t count_b = 0;
   };
+
+  // Claims the ring slot for the next event (overwriting the oldest once
+  // full) and returns its index.
+  std::size_t next_slot();
+  Entry& push(common::SimTime at, core::Hook hook, core::MhId mh);
+  [[nodiscard]] std::string format(std::size_t slot) const;
 
   std::size_t capacity_;
   std::vector<Entry> ring_;
+  std::vector<std::string> text_;  // record() lines, by ring slot
   std::size_t next_ = 0;  // slot the next record lands in once full
   std::uint64_t total_ = 0;
   std::ostream* loss_sink_ = nullptr;

@@ -21,15 +21,6 @@ namespace {
 // ordering).
 std::atomic<bool> g_alloc_tracking{false};
 
-[[nodiscard]] int log2_bucket(std::uint64_t value) {
-  int bucket = 0;
-  while (value > 1 && bucket < 31) {
-    value >>= 1;
-    ++bucket;
-  }
-  return bucket;
-}
-
 }  // namespace
 
 Profiler::Profiler() = default;

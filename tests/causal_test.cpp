@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "causal/causal_layer.h"
@@ -257,6 +258,75 @@ TEST_F(CausalTest, RejectsUnattachedSender) {
                             net::make_message<TestMsg>("x"),
                             sim::EventPriority::kNormal),
                common::InvariantViolation);
+}
+
+// A transport that holds every message until the test delivers it, so a
+// test can pick the arrival order message by message.
+struct ManualTransport final : net::WiredTransport {
+  std::unordered_map<NodeAddress, net::Endpoint*> endpoints;
+  std::vector<net::Envelope> sent;
+
+  void attach(NodeAddress address, net::Endpoint* endpoint) override {
+    endpoints[address] = endpoint;
+  }
+  using net::WiredTransport::send;
+  void send(NodeAddress src, NodeAddress dst, net::PayloadPtr payload,
+            sim::EventPriority) override {
+    net::Envelope envelope;
+    envelope.src = src;
+    envelope.dst = dst;
+    envelope.payload = std::move(payload);
+    sent.push_back(std::move(envelope));
+  }
+  void deliver(std::size_t i) {
+    endpoints.at(sent[i].dst)->on_message(sent[i]);
+  }
+};
+
+// Lazy-attach mode grows every matrix when a node attaches after traffic
+// has flowed.  Each message carries the n x n snapshot of the n at its
+// send time, and a message stamped with the older, smaller snapshot is
+// still held back until its causal predecessors arrive.
+TEST_F(CausalTest, NodeAttachingAfterTrafficKeepsCausalOrder) {
+  ManualTransport transport;
+  CausalLayer layer(transport);
+  Recorder a, b, c;
+  layer.attach(NodeAddress(0), &a);
+  layer.attach(NodeAddress(1), &b);
+  const auto send = [&](std::uint32_t src, std::uint32_t dst,
+                        const std::string& tag) {
+    layer.send(NodeAddress(src), NodeAddress(dst),
+               net::make_message<TestMsg>(tag), sim::EventPriority::kNormal);
+    return transport.sent.size() - 1;
+  };
+  const std::size_t inner = TestMsg("").wire_size();
+
+  const std::size_t m1 = send(0, 1, "m1");
+  const std::size_t m2 = send(0, 1, "m2");
+  layer.attach(NodeAddress(2), &c);
+  const std::size_t x = send(0, 2, "x");
+  const std::size_t m3 = send(0, 1, "m3");
+  EXPECT_EQ(transport.sent[m1].payload->wire_size(), inner + 8 * 2 * 2);
+  EXPECT_EQ(transport.sent[m2].payload->wire_size(), inner + 8 * 2 * 2);
+  EXPECT_EQ(transport.sent[x].payload->wire_size(), inner + 8 * 3 * 3);
+  EXPECT_EQ(transport.sent[m3].payload->wire_size(), inner + 8 * 3 * 3);
+
+  // m2 (2 x 2 snapshot) and m3 wait for m1 at B, whose state is 3 wide.
+  transport.deliver(m2);
+  transport.deliver(m3);
+  EXPECT_TRUE(b.tags.empty());
+  EXPECT_EQ(layer.buffered(), 2u);
+  transport.deliver(m1);
+  EXPECT_EQ(b.tags, (std::vector<std::string>{"m1", "m2", "m3"}));
+
+  // B learned from m3 that A sent x to C, so B's reply waits for x.
+  const std::size_t y = send(1, 2, "y");
+  transport.deliver(y);
+  EXPECT_TRUE(c.tags.empty());
+  transport.deliver(x);
+  EXPECT_EQ(c.tags, (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(layer.delayed_total(), 3u);
+  EXPECT_EQ(layer.buffered(), 0u);
 }
 
 // Long causal chains across all three nodes stay ordered under jitter.

@@ -5,6 +5,7 @@
 // tunnel class, and failure handling on the export paths.
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -46,6 +47,20 @@ harness::ScenarioConfig scripted_config() {
   return config;
 }
 
+// The scripted Fig-3 timeline: power on, one request, two migrations.
+void run_scripted_fig3(harness::World& world) {
+  auto& mh = world.mh(0);
+  auto& sim = world.simulator();
+  mh.power_on(world.cell(0));
+  sim.schedule(Duration::millis(100),
+               [&] { mh.issue_request(world.server_address(0), "query"); });
+  sim.schedule(Duration::millis(300),
+               [&] { mh.migrate(world.cell(1), Duration::millis(50)); });
+  sim.schedule(Duration::millis(800),
+               [&] { mh.migrate(world.cell(2), Duration::millis(50)); });
+  world.run_to_quiescence();
+}
+
 bool row_empty(const obs::CostSummary& summary, PurposeClass purpose) {
   const auto& row = summary.row(purpose);
   return row.wired_frames == 0 && row.wireless_frames == 0;
@@ -80,16 +95,7 @@ TEST(CostLedger, ScriptedFig3RunReconcilesByteForByte) {
         }
       });
 
-  auto& mh = world.mh(0);
-  auto& sim = world.simulator();
-  mh.power_on(world.cell(0));
-  sim.schedule(Duration::millis(100),
-               [&] { mh.issue_request(world.server_address(0), "query"); });
-  sim.schedule(Duration::millis(300),
-               [&] { mh.migrate(world.cell(1), Duration::millis(50)); });
-  sim.schedule(Duration::millis(800),
-               [&] { mh.migrate(world.cell(2), Duration::millis(50)); });
-  world.run_to_quiescence();
+  run_scripted_fig3(world);
 
   const obs::CostLedger& ledger = *world.cost_ledger();
 
@@ -151,6 +157,157 @@ TEST(CostLedger, ScriptedFig3RunReconcilesByteForByte) {
             ledger.wired_bytes() + ledger.wireless_bytes());
   EXPECT_DOUBLE_EQ(registry.gauge("rdp.energy.spent_total").value(),
                    expected_energy);
+}
+
+// Pins the ledger's exports for the scripted Fig-3 run byte for byte: the
+// JSON document, the per-message table, and the registry series the ledger
+// and the metrics collector create (key set, final values and the sampled
+// time series).  Three more Mh ids are charged out of order afterwards, so
+// the ascending-MhId order of energy_per_mh is pinned too.
+TEST(CostLedger, ScriptedFig3ExportsArePinned) {
+  harness::ScenarioConfig config = scripted_config();
+  config.telemetry.metrics_period = Duration::millis(250);
+  harness::World world(config);
+  harness::MetricsCollector metrics(&world.telemetry().registry());
+  world.observers().add(&metrics);
+  run_scripted_fig3(world);
+
+  obs::CostLedger& ledger = *world.cost_ledger();
+  const net::PayloadPtr join = net::make_message<core::MsgJoin>();
+  ledger.on_wireless_frame(MhId(7), join, /*uplink=*/true,
+                           net::FramePhase::kSent);
+  ledger.on_wireless_frame(MhId(2), join, /*uplink=*/true,
+                           net::FramePhase::kSent);
+  ledger.on_wireless_frame(MhId(5), join, /*uplink=*/false,
+                           net::FramePhase::kDelivered);
+
+  std::ostringstream json;
+  ledger.write_json_stream(json);
+  EXPECT_EQ(json.str(),
+      "{\n"
+      "  \"energy_config\": {\"tx_per_byte\": 2, \"rx_per_byte\": 1, \"tx_per_frame\": 0, \"rx_per_frame\": 0, \"budget\": 10000},\n"
+      "  \"totals\": {\"wired_frames\": 10, \"wired_bytes\": 365, \"wireless_frames\": 11, \"wireless_bytes\": 249, \"energy\": 414, \"energy_min_remaining\": 9666},\n"
+      "  \"classes\": {\n"
+      "    \"app\": {\"wired_frames\": 3, \"wired_bytes\": 141, \"wireless_frames\": 2, \"wireless_bytes\": 77, \"energy\": 114},\n"
+      "    \"control\": {\"wired_frames\": 1, \"wired_bytes\": 32, \"wireless_frames\": 7, \"wireless_bytes\": 132, \"energy\": 220},\n"
+      "    \"handoff\": {\"wired_frames\": 6, \"wired_bytes\": 192, \"wireless_frames\": 2, \"wireless_bytes\": 40, \"energy\": 80},\n"
+      "    \"recovery\": {\"wired_frames\": 0, \"wired_bytes\": 0, \"wireless_frames\": 0, \"wireless_bytes\": 0, \"energy\": 0},\n"
+      "    \"tunnel\": {\"wired_frames\": 0, \"wired_bytes\": 0, \"wireless_frames\": 0, \"wireless_bytes\": 0, \"energy\": 0},\n"
+      "    \"other\": {\"wired_frames\": 0, \"wired_bytes\": 0, \"wireless_frames\": 0, \"wireless_bytes\": 0, \"energy\": 0}\n"
+      "  },\n"
+      "  \"messages\": [\n"
+      "    {\"link\": \"wired\", \"class\": \"app\", \"message\": \"resultForward\", \"frames\": 1, \"bytes\": 56},\n"
+      "    {\"link\": \"wired\", \"class\": \"app\", \"message\": \"serverRequest\", \"frames\": 1, \"bytes\": 41},\n"
+      "    {\"link\": \"wired\", \"class\": \"app\", \"message\": \"serverResult\", \"frames\": 1, \"bytes\": 44},\n"
+      "    {\"link\": \"wired\", \"class\": \"control\", \"message\": \"ackForward\", \"frames\": 1, \"bytes\": 32},\n"
+      "    {\"link\": \"wired\", \"class\": \"handoff\", \"message\": \"dereg\", \"frames\": 2, \"bytes\": 48},\n"
+      "    {\"link\": \"wired\", \"class\": \"handoff\", \"message\": \"deregAck\", \"frames\": 2, \"bytes\": 88},\n"
+      "    {\"link\": \"wired\", \"class\": \"handoff\", \"message\": \"update_currentLoc\", \"frames\": 2, \"bytes\": 56},\n"
+      "    {\"link\": \"wireless_up\", \"class\": \"app\", \"message\": \"request\", \"frames\": 1, \"bytes\": 37},\n"
+      "    {\"link\": \"wireless_up\", \"class\": \"control\", \"message\": \"ack\", \"frames\": 1, \"bytes\": 24},\n"
+      "    {\"link\": \"wireless_up\", \"class\": \"control\", \"message\": \"join\", \"frames\": 3, \"bytes\": 48},\n"
+      "    {\"link\": \"wireless_up\", \"class\": \"handoff\", \"message\": \"greet\", \"frames\": 2, \"bytes\": 40},\n"
+      "    {\"link\": \"wireless_down\", \"class\": \"app\", \"message\": \"result\", \"frames\": 1, \"bytes\": 40},\n"
+      "    {\"link\": \"wireless_down\", \"class\": \"control\", \"message\": \"registrationAck\", \"frames\": 3, \"bytes\": 60}\n"
+      "  ],\n"
+      "  \"energy_per_mh\": {\n"
+      "    \"Mh0\": 334,\n"
+      "    \"Mh2\": 32,\n"
+      "    \"Mh5\": 16,\n"
+      "    \"Mh7\": 32\n"
+      "  }\n"
+      "}\n");
+
+  std::ostringstream table;
+  ledger.message_table().print(table);
+  EXPECT_EQ(table.str(),
+      "| link          | class   | message           | frames | bytes |\n"
+      "|---------------|---------|-------------------|--------|-------|\n"
+      "| wired         | app     | resultForward     | 1      | 56    |\n"
+      "| wired         | app     | serverRequest     | 1      | 41    |\n"
+      "| wired         | app     | serverResult      | 1      | 44    |\n"
+      "| wired         | control | ackForward        | 1      | 32    |\n"
+      "| wired         | handoff | dereg             | 2      | 48    |\n"
+      "| wired         | handoff | deregAck          | 2      | 88    |\n"
+      "| wired         | handoff | update_currentLoc | 2      | 56    |\n"
+      "| wireless_up   | app     | request           | 1      | 37    |\n"
+      "| wireless_up   | control | ack               | 1      | 24    |\n"
+      "| wireless_up   | control | join              | 3      | 48    |\n"
+      "| wireless_up   | handoff | greet             | 2      | 40    |\n"
+      "| wireless_down | app     | result            | 1      | 40    |\n"
+      "| wireless_down | control | registrationAck   | 3      | 60    |\n");
+
+  std::ostringstream registry_json;
+  world.telemetry().registry().write_json(registry_json);
+  EXPECT_EQ(registry_json.str(),
+      "{\n"
+      "  \"counters\": {\n"
+      "    \"net.wired.messages{type=ackForward}\": 1,\n"
+      "    \"net.wired.messages{type=dereg}\": 2,\n"
+      "    \"net.wired.messages{type=deregAck}\": 2,\n"
+      "    \"net.wired.messages{type=resultForward}\": 1,\n"
+      "    \"net.wired.messages{type=serverRequest}\": 1,\n"
+      "    \"net.wired.messages{type=serverResult}\": 1,\n"
+      "    \"net.wired.messages{type=update_currentLoc}\": 2,\n"
+      "    \"rdp.acks.forwarded\": 1,\n"
+      "    \"rdp.cost.bytes{class=app,link=wired}\": 141,\n"
+      "    \"rdp.cost.bytes{class=app,link=wireless_down}\": 40,\n"
+      "    \"rdp.cost.bytes{class=app,link=wireless_up}\": 37,\n"
+      "    \"rdp.cost.bytes{class=control,link=wired}\": 32,\n"
+      "    \"rdp.cost.bytes{class=control,link=wireless_down}\": 60,\n"
+      "    \"rdp.cost.bytes{class=control,link=wireless_up}\": 72,\n"
+      "    \"rdp.cost.bytes{class=handoff,link=wired}\": 192,\n"
+      "    \"rdp.cost.bytes{class=handoff,link=wireless_up}\": 40,\n"
+      "    \"rdp.cost.frames{class=app,link=wired}\": 3,\n"
+      "    \"rdp.cost.frames{class=app,link=wireless_down}\": 1,\n"
+      "    \"rdp.cost.frames{class=app,link=wireless_up}\": 1,\n"
+      "    \"rdp.cost.frames{class=control,link=wired}\": 1,\n"
+      "    \"rdp.cost.frames{class=control,link=wireless_down}\": 3,\n"
+      "    \"rdp.cost.frames{class=control,link=wireless_up}\": 4,\n"
+      "    \"rdp.cost.frames{class=handoff,link=wired}\": 6,\n"
+      "    \"rdp.cost.frames{class=handoff,link=wireless_up}\": 2,\n"
+      "    \"rdp.handoffs{to=Mss1}\": 1,\n"
+      "    \"rdp.handoffs{to=Mss2}\": 1,\n"
+      "    \"rdp.proxies.created{host=Node0}\": 1,\n"
+      "    \"rdp.proxies.deleted{via=handshake}\": 1,\n"
+      "    \"rdp.registrations{mss=Mss0}\": 1,\n"
+      "    \"rdp.registrations{mss=Mss1}\": 1,\n"
+      "    \"rdp.registrations{mss=Mss2}\": 1,\n"
+      "    \"rdp.requests.completed\": 1,\n"
+      "    \"rdp.requests.issued\": 1,\n"
+      "    \"rdp.results.delivered\": 1,\n"
+      "    \"rdp.results.forwarded\": 1,\n"
+      "    \"rdp.update_currentloc\": 2\n"
+      "  },\n"
+      "  \"gauges\": {\n"
+      "    \"rdp.energy.remaining{mh=Mh0}\": 9666,\n"
+      "    \"rdp.energy.remaining{mh=Mh2}\": 9968,\n"
+      "    \"rdp.energy.remaining{mh=Mh5}\": 9984,\n"
+      "    \"rdp.energy.remaining{mh=Mh7}\": 9968,\n"
+      "    \"rdp.energy.remaining_min\": 9666,\n"
+      "    \"rdp.energy.spent{mh=Mh0}\": 334,\n"
+      "    \"rdp.energy.spent{mh=Mh2}\": 32,\n"
+      "    \"rdp.energy.spent{mh=Mh5}\": 16,\n"
+      "    \"rdp.energy.spent{mh=Mh7}\": 32,\n"
+      "    \"rdp.energy.spent_total\": 414\n"
+      "  },\n"
+      "  \"histograms\": {\n"
+      "    \"rdp.delivery.latency_ms\": {\"count\": 1, \"mean\": 2055, \"p50\": 2055, \"p95\": 2055, \"max\": 2055},\n"
+      "    \"rdp.handoff.latency_ms\": {\"count\": 2, \"mean\": 10, \"p50\": 10, \"p95\": 10, \"max\": 10},\n"
+      "    \"rdp.handoff.state_bytes\": {\"count\": 2, \"mean\": 44, \"p50\": 44, \"p95\": 44, \"max\": 44}\n"
+      "  },\n"
+      "  \"samples\": 215\n"
+      "}\n");
+
+  // The sampled series is long; pin its size and an FNV-1a digest.
+  std::ostringstream csv;
+  world.telemetry().registry().write_csv(csv);
+  std::uint64_t digest = 14695981039346656037ull;
+  for (const char c : csv.str()) {
+    digest = (digest ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  EXPECT_EQ(csv.str().size(), 9369u);
+  EXPECT_EQ(digest, 8363795518279218699ull);
 }
 
 // A lost uplink request makes the Mh watchdog re-issue it; the repeat

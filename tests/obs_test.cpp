@@ -182,6 +182,81 @@ TEST(FlightRecorder, DumpOnLossFiresOnce) {
   EXPECT_EQ(sink.str().size(), size_after_first);  // one dump per recorder
 }
 
+// Fires every hook the recorder subscribes to (the flagged ones both ways)
+// plus free-form lines, past the ring's capacity, and pins the dump text
+// byte for byte: records are stored raw and only formatted by dump().
+TEST(FlightRecorder, DumpTextOfEveryHookIsPinned) {
+  FlightRecorder recorder(27);
+  const MhId mh(3);
+  const RequestId r(mh, 7);
+  const NodeAddress host(1), server(9), loc(2);
+  const ProxyId proxy(4);
+  const MssId from(0), to(1);
+  recorder.record(at_ms(0), "overwritten 1");
+  recorder.record(at_ms(0), "overwritten 2");
+  recorder.on_proxy_created(at_ms(1), mh, host, proxy);
+  recorder.on_proxy_deleted(at_ms(2), mh, host, proxy, true);
+  recorder.on_proxy_deleted(at_ms(2), mh, host, proxy, false);
+  recorder.on_request_issued(at_ms(3), mh, r, server);
+  recorder.on_request_reached_proxy(at_ms(4), mh, r, host);
+  recorder.on_result_at_proxy(at_ms(5), mh, r, 2);
+  recorder.on_result_forwarded(at_ms(6), mh, r, 2, loc, 3, true);
+  recorder.on_result_forwarded(at_ms(6), mh, r, 2, loc, 1, false);
+  recorder.on_result_delivered(at_ms(7), mh, r, 2, true, true, 3);
+  recorder.on_result_delivered(at_ms(7), mh, r, 1, false, false, 1);
+  recorder.on_ack_forwarded(at_ms(8), mh, r, 2, true);
+  recorder.on_ack_forwarded(at_ms(8), mh, r, 1, false);
+  recorder.on_request_completed(at_ms(9), mh, r);
+  recorder.on_request_lost(at_ms(10), mh, r,
+                           core::RequestLossReason::kProxyGone);
+  recorder.on_handoff_started(at_ms(11), mh, from, to);
+  recorder.on_handoff_completed(at_ms(12), mh, from, to,
+                                Duration::micros(12345), 280);
+  recorder.on_update_currentloc(at_ms(13), mh, host, NodeAddress::invalid());
+  recorder.on_mh_registered(at_ms(14), mh, to, Duration::millis(40));
+  recorder.on_stale_ack_dropped(at_ms(15), mh, r);
+  recorder.on_delproxy_with_pending(at_ms(16), mh, proxy);
+  recorder.on_orphaned_proxy(at_ms(17), mh, proxy);
+  recorder.on_mss_crashed(at_ms(18), from, 5, 6);
+  recorder.on_mss_restarted(at_ms(19), from, 4);
+  recorder.on_proxy_restored(at_ms(20), mh, host, proxy);
+  recorder.on_request_reissued(at_ms(21), mh, r, 2);
+  recorder.record(SimTime::from_micros(21500), "FAULT free-form line");
+  recorder.on_reissue_exhausted(at_ms(22), mh, r, 3);
+
+  std::ostringstream os;
+  recorder.dump(os);
+  EXPECT_EQ(os.str(),
+      "-- flight recorder: last 27 of 29 events --\n"
+      "       1.000 ms  proxy_created Proxy4 for Mh3 at Node1\n"
+      "       2.000 ms  proxy_deleted Proxy4 for Mh3 at Node1 [gc]\n"
+      "       2.000 ms  proxy_deleted Proxy4 for Mh3 at Node1\n"
+      "       3.000 ms  request_issued Req(Mh3#7) by Mh3 to Node9\n"
+      "       4.000 ms  request_reached_proxy Req(Mh3#7) at Node1\n"
+      "       5.000 ms  result_at_proxy Req(Mh3#7) seq=2\n"
+      "       6.000 ms  result_forwarded Req(Mh3#7) seq=2 attempt=3 to=Node2 [del-pref]\n"
+      "       6.000 ms  result_forwarded Req(Mh3#7) seq=2 attempt=1 to=Node2\n"
+      "       7.000 ms  result_delivered Req(Mh3#7) seq=2 at Mh3 attempt=3 [final] [dup]\n"
+      "       7.000 ms  result_delivered Req(Mh3#7) seq=1 at Mh3 attempt=1\n"
+      "       8.000 ms  ack_forwarded Req(Mh3#7) seq=2 [del-proxy]\n"
+      "       8.000 ms  ack_forwarded Req(Mh3#7) seq=1\n"
+      "       9.000 ms  request_completed Req(Mh3#7)\n"
+      "      10.000 ms  REQUEST_LOST Req(Mh3#7) of Mh3 reason=proxy-gone\n"
+      "      11.000 ms  handoff_started Mh3 Mss0->Mss1\n"
+      "      12.000 ms  handoff_completed Mh3 Mss0->Mss1 (12.345ms, 280 B)\n"
+      "      13.000 ms  update_currentLoc Mh3 proxy@Node1 -> Node<none>\n"
+      "      14.000 ms  mh_registered Mh3 at Mss1 (40.000ms)\n"
+      "      15.000 ms  stale_ack_dropped Req(Mh3#7) from Mh3\n"
+      "      16.000 ms  ANOMALY delproxy_with_pending Proxy4 of Mh3\n"
+      "      17.000 ms  orphaned_proxy Proxy4 of Mh3\n"
+      "      18.000 ms  MSS_CRASHED Mss0 (5 proxies lost, 6 Mhs detached)\n"
+      "      19.000 ms  mss_restarted Mss0 (4 proxies restored)\n"
+      "      20.000 ms  proxy_restored Proxy4 for Mh3 at Node1\n"
+      "      21.000 ms  request_reissued Req(Mh3#7) by Mh3 attempt=2\n"
+      "      21.500 ms  FAULT free-form line\n"
+      "      22.000 ms  REISSUE_EXHAUSTED Req(Mh3#7) by Mh3 after 3 re-issues\n");
+}
+
 TEST(EventNames, LossReasonsAreNamed) {
   EXPECT_STREQ(loss_reason_name(core::RequestLossReason::kProxyGone),
                "proxy-gone");
