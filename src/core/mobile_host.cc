@@ -1,5 +1,7 @@
 #include "core/mobile_host.h"
 
+#include "obs/perf_probe.h"
+
 namespace rdp::core {
 namespace {
 
@@ -281,6 +283,7 @@ void MobileHostAgent::run_reissue_check() {
 
 void MobileHostAgent::on_downlink(common::CellId /*cell*/,
                                   const net::PayloadPtr& payload) {
+  RDP_PROF_SCOPE(kCore);
   if (const auto* ack = net::message_cast<MsgRegistrationAck>(payload)) {
     if (!registered_) {
       registered_ = true;

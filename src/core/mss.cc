@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "obs/perf_probe.h"
+
 namespace rdp::core {
 
 Mss::Mss(Runtime& runtime, MssId id, CellId cell, NodeAddress address)
@@ -30,6 +32,7 @@ const Proxy* Mss::proxy(ProxyId id) const {
 // ---------------------------------------------------------------------------
 
 void Mss::on_uplink(MhId from, const net::PayloadPtr& payload) {
+  RDP_PROF_SCOPE(kCore);
   if (crashed_) {
     // A crashed Mss is deaf on the wireless network; the Mh's only remedy
     // is the re-issue watchdog (RdpConfig::mh_reissue) or a migration.
@@ -48,6 +51,8 @@ void Mss::on_uplink(MhId from, const net::PayloadPtr& payload) {
   if (arq_ != nullptr &&
       arq_->on_uplink(from, payload,
                       [this](MhId mh, const net::PayloadPtr& inner) {
+                        // Released from inside the ARQ receiver's scope.
+                        RDP_PROF_SCOPE(kCore);
                         dispatch_uplink(mh, inner);
                       })) {
     return;
@@ -282,6 +287,7 @@ void Mss::handle_uplink_ack(MhId mh, const MsgUplinkAck& msg) {
 // ---------------------------------------------------------------------------
 
 void Mss::on_message(const net::Envelope& envelope) {
+  RDP_PROF_SCOPE(kCore);
   if (crashed_) {
     // The host is down: wired traffic is dropped on the floor.  (With the
     // causal layer enabled this is safe — the causal shim has already

@@ -1,5 +1,7 @@
 #include "core/server.h"
 
+#include "obs/perf_probe.h"
+
 namespace rdp::core {
 
 Server::Server(Runtime& runtime, common::ServerId id, NodeAddress address,
@@ -31,6 +33,7 @@ void Server::send_result(NodeAddress reply_to, ProxyId proxy,
 }
 
 void Server::on_message(const net::Envelope& envelope) {
+  RDP_PROF_SCOPE(kCore);
   if (const auto* req = net::message_cast<MsgServerRequest>(envelope.payload)) {
     ++served_;
     if (req->stream) {

@@ -67,6 +67,7 @@ inline constexpr const char* kDomainNames[] = {
     "net.wireless",
     "causal",
     "arq",
+    "core",
     "replication",
     "membership",
     "hook_fanout",

@@ -50,6 +50,7 @@ enum class Domain : int {
   kNetWireless,   // net::WirelessChannel uplink/downlink/deliver
   kCausal,        // causal::CausalLayer send/deliver/buffering
   kArq,           // arq sender/receiver paths
+  kCore,          // Mss / server / Mh protocol handlers (wired + radio)
   kReplication,   // replication delta shipping / promotion
   kMembership,    // membership probing / departure / ring repair
   kHookFanout,    // barrier-time observer-buffer replay (ShardTapMerger)
