@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -228,6 +229,9 @@ TEST_F(CausalTest, ConcurrentSendersBothDeliver) {
   EXPECT_EQ(layer_->buffered(), 0u);
 }
 
+// The envelope adds a 4-byte entry count plus 12 bytes (4-byte cell
+// index, 8-byte count) per piggybacked SENT cell.  The first message in a
+// fresh layer has no nonzero cell to carry.
 TEST_F(CausalTest, WireSizeIncludesMatrixOverhead) {
   build(Duration::millis(1), Duration::zero());
   std::size_t observed = 0;
@@ -236,8 +240,35 @@ TEST_F(CausalTest, WireSizeIncludesMatrixOverhead) {
   });
   layer_->send(NodeAddress(0), NodeAddress(1),
                net::make_message<TestMsg>("x"), sim::EventPriority::kNormal);
-  EXPECT_GT(observed, 64u);  // inner default 64 + matrix cells
+  EXPECT_EQ(observed, 64u + 4u);  // inner default 64 + entry count
   sim_.run();
+}
+
+// Only the cells that changed since the last send on a link ride on the
+// next one: after other traffic the first A->B message carries every cell
+// A knows of, and a second one right behind it carries exactly one entry,
+// the link's own count SENT[A][B].
+TEST_F(CausalTest, SecondBackToBackSendCarriesOneEntry) {
+  build(Duration::millis(1), Duration::zero());
+  std::vector<std::size_t> sizes;
+  inner_->add_send_observer([&](const net::Envelope& envelope) {
+    sizes.push_back(envelope.payload->wire_size());
+  });
+  const auto send = [&](std::uint32_t src, std::uint32_t dst) {
+    layer_->send(NodeAddress(src), NodeAddress(dst),
+                 net::make_message<TestMsg>("m"), sim::EventPriority::kNormal);
+  };
+  send(0, 2);  // A->C: SENT_A[A][C] = 1
+  send(2, 0);  // C->A: SENT_C[C][A] = 1
+  sim_.run();  // A merges C's message: SENT_A[C][A] = 1
+  send(0, 1);
+  send(0, 1);
+  sim_.run();
+  const std::size_t inner = TestMsg("").wire_size();
+  ASSERT_EQ(sizes.size(), 4u);
+  EXPECT_EQ(sizes[2], inner + 4 + 12 * 2);  // [A][C] and [C][A]
+  EXPECT_EQ(sizes[3], inner + 4 + 12 * 1);  // [A][B] only
+  EXPECT_EQ(b_.tags.size(), 2u);
 }
 
 TEST_F(CausalTest, NameIsTransparent) {
@@ -283,10 +314,11 @@ struct ManualTransport final : net::WiredTransport {
   }
 };
 
-// Lazy-attach mode grows every matrix when a node attaches after traffic
-// has flowed.  Each message carries the n x n snapshot of the n at its
-// send time, and a message stamped with the older, smaller snapshot is
-// still held back until its causal predecessors arrive.
+// Lazy-attach mode widens the layer when a node attaches after traffic
+// has flowed.  Each message carries the SENT cells that changed since the
+// previous send on its link (a link's first message carries every nonzero
+// cell), and a message stamped before the attach is still held back until
+// its causal predecessors arrive.
 TEST_F(CausalTest, NodeAttachingAfterTrafficKeepsCausalOrder) {
   ManualTransport transport;
   CausalLayer layer(transport);
@@ -306,12 +338,14 @@ TEST_F(CausalTest, NodeAttachingAfterTrafficKeepsCausalOrder) {
   layer.attach(NodeAddress(2), &c);
   const std::size_t x = send(0, 2, "x");
   const std::size_t m3 = send(0, 1, "m3");
-  EXPECT_EQ(transport.sent[m1].payload->wire_size(), inner + 8 * 2 * 2);
-  EXPECT_EQ(transport.sent[m2].payload->wire_size(), inner + 8 * 2 * 2);
-  EXPECT_EQ(transport.sent[x].payload->wire_size(), inner + 8 * 3 * 3);
-  EXPECT_EQ(transport.sent[m3].payload->wire_size(), inner + 8 * 3 * 3);
+  // Entries: m1 none; m2 [A][B]; x (first on A->C) [A][B]; m3 [A][B] and
+  // [A][C].
+  EXPECT_EQ(transport.sent[m1].payload->wire_size(), inner + 4);
+  EXPECT_EQ(transport.sent[m2].payload->wire_size(), inner + 4 + 12 * 1);
+  EXPECT_EQ(transport.sent[x].payload->wire_size(), inner + 4 + 12 * 1);
+  EXPECT_EQ(transport.sent[m3].payload->wire_size(), inner + 4 + 12 * 2);
 
-  // m2 (2 x 2 snapshot) and m3 wait for m1 at B, whose state is 3 wide.
+  // m2 (stamped before C attached) and m3 wait for m1 at B.
   transport.deliver(m2);
   transport.deliver(m3);
   EXPECT_TRUE(b.tags.empty());
@@ -327,6 +361,169 @@ TEST_F(CausalTest, NodeAttachingAfterTrafficKeepsCausalOrder) {
   EXPECT_EQ(c.tags, (std::vector<std::string>{"x", "y"}));
   EXPECT_EQ(layer.delayed_total(), 3u);
   EXPECT_EQ(layer.buffered(), 0u);
+}
+
+// Whole-matrix Raynal-Schiper-Toueg as the paper states it: every message
+// carries the sender's full SENT matrix.  The exactness oracle for the
+// layer's differential piggyback.  Matrices are sized for every node that
+// will ever attach; a node not yet attached has all-zero cells, as in a
+// lazily widened matrix.  Buffered messages drain with the layer's policy
+// (rescan from the front after each delivery), so the delivery sequences,
+// not just their causal consistency, must match.
+class RstReference {
+ public:
+  explicit RstReference(std::size_t n) : n_(n) {}
+
+  void attach() {
+    nodes_.push_back(Node{Matrix(n_, std::vector<std::uint64_t>(n_, 0)),
+                          std::vector<std::uint64_t>(n_, 0), {}, {}});
+  }
+  void send(std::size_t src, std::size_t dst, const std::string& tag) {
+    wire_.push_back(Message{src, dst, nodes_[src].sent, tag});
+    nodes_[src].sent[src][dst] += 1;
+  }
+  // The w-th message sent arrives at its destination.
+  void arrive(std::size_t w) {
+    Node& node = nodes_[wire_[w].dst];
+    if (!deliverable(node, wire_[w])) {
+      node.buffer.push_back(wire_[w]);
+      ++delayed_;
+      return;
+    }
+    deliver(node, wire_[w]);
+    for (auto it = node.buffer.begin(); it != node.buffer.end();) {
+      if (!deliverable(node, *it)) {
+        ++it;
+        continue;
+      }
+      const Message next = *it;
+      node.buffer.erase(it);
+      deliver(node, next);
+      it = node.buffer.begin();
+    }
+  }
+  [[nodiscard]] const std::vector<std::string>& delivered(std::size_t i) const {
+    return nodes_[i].delivered;
+  }
+  [[nodiscard]] std::uint64_t delayed_total() const { return delayed_; }
+  [[nodiscard]] std::size_t buffered() const {
+    std::size_t total = 0;
+    for (const Node& node : nodes_) total += node.buffer.size();
+    return total;
+  }
+
+ private:
+  using Matrix = std::vector<std::vector<std::uint64_t>>;
+  struct Message {
+    std::size_t src, dst;
+    Matrix st;
+    std::string tag;
+  };
+  struct Node {
+    Matrix sent;
+    std::vector<std::uint64_t> deliv;
+    std::vector<Message> buffer;
+    std::vector<std::string> delivered;
+  };
+
+  bool deliverable(const Node& node, const Message& m) const {
+    for (std::size_t k = 0; k < n_; ++k) {
+      if (node.deliv[k] < m.st[k][m.dst]) return false;
+    }
+    return true;
+  }
+  void deliver(Node& node, const Message& m) {
+    for (std::size_t k = 0; k < n_; ++k) {
+      for (std::size_t l = 0; l < n_; ++l) {
+        node.sent[k][l] = std::max(node.sent[k][l], m.st[k][l]);
+      }
+    }
+    auto& own = node.sent[m.src][m.dst];
+    own = std::max(own, m.st[m.src][m.dst] + 1);
+    node.deliv[m.src] += 1;
+    node.delivered.push_back(m.tag);
+  }
+
+  std::size_t n_;
+  std::vector<Node> nodes_;
+  std::vector<Message> wire_;
+  std::uint64_t delayed_ = 0;
+};
+
+// Random traffic through the layer and the whole-matrix reference side by
+// side: sends between random nodes (self-sends included), arrivals in a
+// random order (so messages on one link overtake each other), severed
+// sends, and the last node attaching a third of the way in.  Every node
+// must deliver the same messages in the same order, and the two must agree
+// on how many messages waited and how many are waiting, step by step.
+TEST(CausalOracle, DifferentialPiggybackMatchesWholeMatrixRst) {
+  for (const std::size_t n : {3, 8, 16}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("n " + std::to_string(n) + " seed " + std::to_string(seed));
+      Rng rng(seed * 1000 + n);
+      ManualTransport transport;
+      CausalLayer layer(transport);
+      bool sever = false;
+      layer.set_sever_hook([&](NodeAddress, NodeAddress) { return sever; });
+      RstReference reference(n);
+      std::vector<Recorder> recorders(n);
+      const auto attach = [&](std::size_t i) {
+        layer.attach(NodeAddress(static_cast<std::uint32_t>(i)), &recorders[i]);
+        reference.attach();
+      };
+      std::size_t attached = 0;
+      while (attached + 1 < n) attach(attached++);
+
+      std::vector<std::size_t> in_flight;
+      const int steps = 60 * static_cast<int>(n);
+      for (int step = 0; step < steps; ++step) {
+        if (step == steps / 3) attach(attached++);
+        const double roll = rng.next_double();
+        if (roll < 0.45 || in_flight.empty()) {
+          const auto src = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(attached) - 1));
+          const auto dst = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(attached) - 1));
+          sever = roll < 0.05;
+          const std::string tag = "m" + std::to_string(step);
+          layer.send(NodeAddress(static_cast<std::uint32_t>(src)),
+                     NodeAddress(static_cast<std::uint32_t>(dst)),
+                     net::make_message<TestMsg>(tag),
+                     sim::EventPriority::kNormal);
+          if (!sever) {
+            reference.send(src, dst, tag);
+            in_flight.push_back(transport.sent.size() - 1);
+          }
+        } else {
+          const auto pick = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(in_flight.size()) - 1));
+          const std::size_t w = in_flight[pick];
+          in_flight.erase(in_flight.begin() +
+                          static_cast<std::ptrdiff_t>(pick));
+          transport.deliver(w);
+          reference.arrive(w);
+        }
+        ASSERT_EQ(layer.buffered(), reference.buffered()) << "step " << step;
+        ASSERT_EQ(layer.delayed_total(), reference.delayed_total())
+            << "step " << step;
+      }
+      while (!in_flight.empty()) {
+        const std::size_t w = in_flight.back();
+        in_flight.pop_back();
+        transport.deliver(w);
+        reference.arrive(w);
+      }
+
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(recorders[i].tags, reference.delivered(i)) << "node " << i;
+      }
+      EXPECT_EQ(layer.delayed_total(), reference.delayed_total());
+      EXPECT_GT(layer.delayed_total(), 0u);  // the buffering path ran
+      EXPECT_GT(layer.severed(), 0u);
+      EXPECT_EQ(layer.buffered(), 0u);
+      EXPECT_EQ(reference.buffered(), 0u);
+    }
+  }
 }
 
 // Long causal chains across all three nodes stay ordered under jitter.
