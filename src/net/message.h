@@ -32,7 +32,7 @@ class MessageBase {
   [[nodiscard]] virtual std::string describe() const { return name(); }
 
   // The innermost protocol message.  Transport-level wrappers (e.g. the
-  // causal layer's matrix-stamped envelope) override this to expose the
+  // causal layer's envelope) override this to expose the
   // message they carry, so taps can classify a frame by its concrete type
   // while still charging the wrapper's full wire_size().
   [[nodiscard]] virtual const MessageBase& unwrap() const { return *this; }

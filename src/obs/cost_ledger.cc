@@ -277,8 +277,8 @@ void CostLedger::charge(common::MhId mh, PurposeClass purpose, double amount) {
 void CostLedger::on_wired_send(const net::Envelope& envelope) {
   RDP_PROF_SCOPE(kLedger);
   const net::MessageBase& outer = *envelope.payload;
-  // Charge the outer payload's size: the causal wrapper's matrix bytes are
-  // real wire bytes, and this is what WiredNetwork::bytes_sent() counts.
+  // Charge the outer payload's size: the causal wrapper's piggyback bytes
+  // are real wire bytes, and this is what WiredNetwork::bytes_sent() counts.
   account(LinkKind::kWired, classify(outer.unwrap()), outer,
           outer.wire_size());
 }

@@ -7,7 +7,7 @@
 //
 //   * link kind   — wired, wireless uplink, wireless downlink;
 //   * message     — the payload's stable type name (transport wrappers such
-//                   as the causal layer's matrix envelope are unwrapped for
+//                   as the causal layer's envelope are unwrapped for
 //                   classification but charged at their full wire_size());
 //   * purpose     — application payload, RDP control, hand-off/pref state
 //                   transfer, recovery traffic (replication, re-issue,
