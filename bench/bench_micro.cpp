@@ -39,7 +39,6 @@
 #include "bench/bench_util.h"
 #include "causal/causal_layer.h"
 #include "causal/vector_clock.h"
-#include "common/arena.h"
 #include "common/pool_alloc.h"
 #include "core/messages.h"
 #include "harness/experiment.h"
@@ -160,36 +159,30 @@ void BM_ShardedCrossShard(benchmark::State& state) {
 BENCHMARK(BM_ShardedCrossShard);
 
 // Flattened observer dispatch (core/events.h): an observer that subscribes
-// to a single hook.  A dispatch on that hook walks a one-element per-hook
-// vector (hit); a dispatch on any other hook is one bit-test against the
-// active mask and returns (miss) — the cost every unsubscribed hook pays
+// to a single kind.  An event of that kind walks a one-element per-kind
+// vector (hit); an event of any other kind is one bit-test against the
+// active mask and returns (miss) — the cost every unsubscribed kind pays
 // per protocol event.
 struct OneHookObserver final : core::RdpObserver {
   std::uint64_t seen = 0;
   [[nodiscard]] std::uint32_t hook_mask() const override {
     return core::hook_bit(core::Hook::kRequestIssued);
   }
-  void on_request_issued(core::SimTime, common::MhId, common::RequestId,
-                         common::NodeAddress) override {
-    ++seen;
-  }
+  void on_event(const core::Event&) override { ++seen; }
 };
 
 void run_hook_dispatch(benchmark::State& state, bool hit) {
   OneHookObserver observer;
   core::ObserverList list;
   list.add(&observer);
-  const auto at = SimTime::zero();
   const common::MhId mh{1};
-  const common::RequestId req(mh, 1);
-  const common::NodeAddress addr{1};
-  for (auto _ : state) {
-    if (hit) {
-      list.on_request_issued(at, mh, req, addr);
-    } else {
-      list.on_request_completed(at, mh, req);
-    }
-  }
+  const core::Event event{
+      .kind = hit ? core::Hook::kRequestIssued : core::Hook::kRequestCompleted,
+      .at = SimTime::zero(),
+      .mh = mh,
+      .request = common::RequestId(mh, 1),
+      .id_a = 1};
+  for (auto _ : state) list.on_event(event);
   benchmark::DoNotOptimize(observer.seen);
   state.SetItemsProcessed(state.iterations());
 }
@@ -204,27 +197,14 @@ void BM_HookDispatchMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_HookDispatchMiss);
 
-// The allocators under the hot path (common/arena.h, common/pool_alloc.h)
-// against plain operator new, at the message-payload size class.  The
-// arena runs one epoch per batch and resets; after warm-up neither the
-// arena nor the pool touches the system allocator.  The batch array goes
-// to DoNotOptimize whole: with GCC, DoNotOptimize on one pointer-sized
-// lvalue ("+m,r") can leave garbage in the slot, which the free loop would
-// then hand to the allocator.
+// The pooled allocator under the hot path (common/pool_alloc.h) against
+// plain operator new, at the message-payload size class; after warm-up the
+// pool never touches the system allocator.  The batch array goes to
+// DoNotOptimize whole: with GCC, DoNotOptimize on one pointer-sized lvalue
+// ("+m,r") can leave garbage in the slot, which the free loop would then
+// hand to the allocator.
 constexpr std::size_t kAllocSize = 96;
 constexpr int kAllocBatch = 1024;
-
-void BM_ArenaAlloc(benchmark::State& state) {
-  common::BumpArena arena;
-  for (auto _ : state) {
-    for (int i = 0; i < kAllocBatch; ++i) {
-      benchmark::DoNotOptimize(arena.allocate(kAllocSize));
-    }
-    arena.reset();
-  }
-  state.SetItemsProcessed(state.iterations() * kAllocBatch);
-}
-BENCHMARK(BM_ArenaAlloc);
 
 void BM_PoolAlloc(benchmark::State& state) {
   void* blocks[kAllocBatch];

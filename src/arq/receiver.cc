@@ -29,8 +29,12 @@ bool ArqReceiver::on_uplink(common::MhId from, const net::PayloadPtr& payload,
   const common::SimTime now = simulator_.now();
   if (frame->seq < chan.cum_next || chan.buffered.count(frame->seq) != 0) {
     counters_.increment("arq.duplicates_dropped");
-    observer_.on_arq_delivered(now, from, chan.epoch, frame->seq,
-                               /*duplicate=*/true);
+    observer_.on_event({.kind = core::Hook::kArqDelivered,
+                        .at = now,
+                        .mh = from,
+                        .seq = frame->seq,
+                        .epoch = chan.epoch,
+                        .flag_a = true});  // duplicate
   } else {
     chan.buffered.emplace(frame->seq, frame->inner);
     // Drain the cumulative prefix into the proxy path.
@@ -39,8 +43,11 @@ bool ArqReceiver::on_uplink(common::MhId from, const net::PayloadPtr& payload,
       net::PayloadPtr inner = std::move(it->second);
       chan.buffered.erase(it);
       counters_.increment("arq.frames_delivered");
-      observer_.on_arq_delivered(now, from, chan.epoch, chan.cum_next,
-                                 /*duplicate=*/false);
+      observer_.on_event({.kind = core::Hook::kArqDelivered,
+                          .at = now,
+                          .mh = from,
+                          .seq = chan.cum_next,
+                          .epoch = chan.epoch});
       ++chan.cum_next;
       deliver(from, inner);
       it = chan.buffered.find(chan.cum_next);

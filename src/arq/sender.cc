@@ -103,8 +103,14 @@ void ArqSender::transmit(Frame& frame) {
   frame.sack_misses = 0;
   counters_.increment("arq.frames_sent");
   if (frame.attempt > 1) counters_.increment("arq.retransmits");
-  observer_.on_arq_frame_sent(simulator_.now(), mh_, epoch_, frame.seq,
-                              frame.attempt, window_.size(), window_limit());
+  observer_.on_event({.kind = core::Hook::kArqFrameSent,
+                      .at = simulator_.now(),
+                      .mh = mh_,
+                      .seq = frame.seq,
+                      .attempt = frame.attempt,
+                      .epoch = epoch_,
+                      .count_a = window_.size(),
+                      .count_b = window_limit()});
   wireless_.uplink(mh_,
                    net::make_message<core::MsgArqData>(epoch_, frame.seq,
                                                        frame.attempt,

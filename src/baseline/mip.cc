@@ -241,8 +241,11 @@ RequestId MipHostAgent::issue_request(NodeAddress server, std::string body,
   RDP_CHECK(!stream, "baseline protocols do not support stream requests");
   const RequestId request{id_, ++next_request_seq_};
   pending_requests_.insert(request);
-  runtime_.observer.on_request_issued(runtime_.simulator.now(), id_, request,
-                                      server);
+  runtime_.observer.on_event({.kind = core::Hook::kRequestIssued,
+                              .at = runtime_.simulator.now(),
+                              .mh = id_,
+                              .request = request,
+                              .id_a = server.value()});
   auto payload =
       net::make_message<MsgMipRequest>(request, server, home_, std::move(body));
   if (registered_ && active_) {
@@ -278,19 +281,26 @@ void MipHostAgent::on_downlink(common::CellId /*cell*/,
         home_ = runtime_.directory.mss_address(ack->mss);
       }
       registration_timer_.cancel();
-      runtime_.observer.on_mh_registered(
-          runtime_.simulator.now(), id_, ack->mss,
-          runtime_.simulator.now() - greet_sent_);
+      runtime_.observer.on_event(
+          {.kind = core::Hook::kMhRegistered,
+           .at = runtime_.simulator.now(),
+           .mh = id_,
+           .id_a = ack->mss.value(),
+           .duration = runtime_.simulator.now() - greet_sent_});
       flush_outbox();
     }
     return;
   }
   if (const auto* result = net::message_cast<core::MsgDownlinkResult>(payload)) {
     const bool duplicate = !delivered_.insert(result->request).second;
-    runtime_.observer.on_result_delivered(runtime_.simulator.now(), id_,
-                                          result->request, result->result_seq,
-                                          result->final, duplicate,
-                                          result->attempt);
+    runtime_.observer.on_event({.kind = core::Hook::kResultDelivered,
+                                .at = runtime_.simulator.now(),
+                                .mh = id_,
+                                .request = result->request,
+                                .seq = result->result_seq,
+                                .attempt = result->attempt,
+                                .flag_a = result->final,
+                                .flag_b = duplicate});
     if (!duplicate) {
       ++deliveries_;
       pending_requests_.erase(result->request);

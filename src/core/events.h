@@ -1,15 +1,19 @@
-// Observer hooks for protocol instrumentation.
+// Protocol events for instrumentation.
 //
-// Tests, examples and benchmarks watch the protocol through these typed
-// hooks instead of scraping logs.  The Fig-3/Fig-4 reproduction benches
-// render a message-sequence trace from them; the experiment harness derives
-// its metrics (delivery latency, retransmissions, proxy placement, ...)
-// from the same events.
+// Tests, examples and benchmarks watch the protocol through these events
+// instead of scraping logs.  Every outcome is one Event record delivered to
+// RdpObserver::on_event; consumers either take the record as it is (the
+// fan-out, the shard buffers, the flight recorder) or override the typed
+// hooks it decodes into.  The Fig-3/Fig-4 reproduction benches render a
+// message-sequence trace from them; the experiment harness derives its
+// metrics (delivery latency, retransmissions, proxy placement, ...) from
+// the same events.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/ids.h"
@@ -35,7 +39,7 @@ enum class RequestLossReason {
   kReissueExhausted,  // the Mh's re-issue watchdog ran out of attempts
 };
 
-// Hook indices, in declaration order of the virtual hooks below and of
+// Event kinds, in declaration order of the typed hooks below and of
 // obs/event_names.h kHookNames (the events_fanout test pins the
 // correspondence).  Used to build hook_mask() subscription bitmasks.
 enum class Hook : int {
@@ -73,23 +77,135 @@ enum class Hook : int {
   return 1u << static_cast<int>(hook);
 }
 
+// One protocol event.  Every emit site fills one of these and hands it to
+// RdpObserver::on_event; buffers and rings store it by value.  Which fields
+// carry meaning depends on `kind` — RdpObserver::on_event's decode below is
+// the field map.  Ids and addresses travel as raw values in id_a (the
+// hook's first id argument) and id_b (its second); Mss-keyed events leave
+// `mh` invalid.
+struct Event {
+  Hook kind = Hook::kProxyCreated;
+  SimTime at{};
+  MhId mh{};  // invalid unless set
+  RequestId request{};
+  std::uint32_t id_a = 0;
+  std::uint32_t id_b = 0;
+  std::uint32_t seq = 0;
+  std::uint32_t attempt = 0;
+  std::uint64_t epoch = 0;    // ARQ epoch or membership epoch
+  std::uint64_t count_a = 0;  // byte, proxy or frame counts
+  std::uint64_t count_b = 0;
+  Duration duration{};
+  RequestLossReason reason = RequestLossReason::kProxyGone;
+  bool flag_a = false;
+  bool flag_b = false;
+
+  friend bool operator==(const Event&, const Event&) = default;
+};
+static_assert(std::is_trivially_copyable_v<Event>);
+
 class RdpObserver {
  public:
   virtual ~RdpObserver() = default;
 
-  // Number of virtual hooks below.  When adding a hook, bump this AND add
-  // the matching fan-out override to ObserverList — the events_fanout test
-  // fails if either is forgotten.
+  // Number of event kinds.  When adding one, bump this, name it in
+  // obs/event_names.h and decode it in on_event below — the events_fanout
+  // test fails if any of them is forgotten.
   static constexpr int kHookCount = 28;
   static constexpr std::uint32_t kAllHooks = (1u << kHookCount) - 1;
 
-  // Which hooks this observer actually overrides, as a bitmask of
-  // hook_bit(Hook) values.  ObserverList reads it once at add() to build
-  // per-hook subscriber vectors, so an event on a hook nobody subscribed
-  // to costs one bit-test and zero virtual calls.  The default claims
-  // every hook (always correct, never fast); hot observers narrow it.
-  // The mask must be stable over the observer's lifetime.
+  // Which event kinds this observer handles, as a bitmask of hook_bit(Hook)
+  // values.  ObserverList reads it once at add() to build per-kind
+  // subscriber vectors, so an event nobody subscribed to costs one
+  // bit-test and zero virtual calls.  The default claims every kind
+  // (always correct, never fast); hot observers narrow it.  The mask must
+  // be stable over the observer's lifetime.
   [[nodiscard]] virtual std::uint32_t hook_mask() const { return kAllHooks; }
+
+  // The one entry point: every emit site calls this.  Raw consumers (the
+  // fan-out, buffers, rings) override it and pass the record on as it is;
+  // the default decodes it into the typed hooks below, so typed consumers
+  // override only the hooks they care about.
+  virtual void on_event(const Event& e) {
+    switch (e.kind) {
+      case Hook::kProxyCreated:
+        return on_proxy_created(e.at, e.mh, NodeAddress(e.id_a),
+                                ProxyId(e.id_b));
+      case Hook::kProxyDeleted:
+        return on_proxy_deleted(e.at, e.mh, NodeAddress(e.id_a),
+                                ProxyId(e.id_b), e.flag_a);
+      case Hook::kRequestIssued:
+        return on_request_issued(e.at, e.mh, e.request, NodeAddress(e.id_a));
+      case Hook::kRequestReachedProxy:
+        return on_request_reached_proxy(e.at, e.mh, e.request,
+                                        NodeAddress(e.id_a));
+      case Hook::kResultAtProxy:
+        return on_result_at_proxy(e.at, e.mh, e.request, e.seq);
+      case Hook::kResultForwarded:
+        return on_result_forwarded(e.at, e.mh, e.request, e.seq,
+                                   NodeAddress(e.id_a), e.attempt, e.flag_a);
+      case Hook::kResultDelivered:
+        return on_result_delivered(e.at, e.mh, e.request, e.seq, e.flag_a,
+                                   e.flag_b, e.attempt);
+      case Hook::kAckForwarded:
+        return on_ack_forwarded(e.at, e.mh, e.request, e.seq, e.flag_a);
+      case Hook::kRequestCompleted:
+        return on_request_completed(e.at, e.mh, e.request);
+      case Hook::kReissueExhausted:
+        return on_reissue_exhausted(e.at, e.mh, e.request,
+                                    static_cast<int>(e.attempt));
+      case Hook::kRequestLost:
+        return on_request_lost(e.at, e.mh, e.request, e.reason);
+      case Hook::kArqFrameSent:
+        return on_arq_frame_sent(e.at, e.mh,
+                                 static_cast<std::uint32_t>(e.epoch), e.seq,
+                                 e.attempt, e.count_a, e.count_b);
+      case Hook::kArqDelivered:
+        return on_arq_delivered(e.at, e.mh,
+                                static_cast<std::uint32_t>(e.epoch), e.seq,
+                                e.flag_a);
+      case Hook::kHandoffStarted:
+        return on_handoff_started(e.at, e.mh, MssId(e.id_a), MssId(e.id_b));
+      case Hook::kHandoffCompleted:
+        return on_handoff_completed(e.at, e.mh, MssId(e.id_a), MssId(e.id_b),
+                                    e.duration, e.count_a);
+      case Hook::kUpdateCurrentloc:
+        return on_update_currentloc(e.at, e.mh, NodeAddress(e.id_a),
+                                    NodeAddress(e.id_b));
+      case Hook::kMhRegistered:
+        return on_mh_registered(e.at, e.mh, MssId(e.id_a), e.duration);
+      case Hook::kStaleAckDropped:
+        return on_stale_ack_dropped(e.at, e.mh, e.request);
+      case Hook::kDelproxyWithPending:
+        return on_delproxy_with_pending(e.at, e.mh, ProxyId(e.id_a));
+      case Hook::kOrphanedProxy:
+        return on_orphaned_proxy(e.at, e.mh, ProxyId(e.id_a));
+      case Hook::kMssCrashed:
+        return on_mss_crashed(e.at, MssId(e.id_a), e.count_a, e.count_b);
+      case Hook::kMssRestarted:
+        return on_mss_restarted(e.at, MssId(e.id_a), e.count_a);
+      case Hook::kProxyRestored:
+        return on_proxy_restored(e.at, e.mh, NodeAddress(e.id_a),
+                                 ProxyId(e.id_b));
+      case Hook::kRequestReissued:
+        return on_request_reissued(e.at, e.mh, e.request,
+                                   static_cast<int>(e.attempt));
+      case Hook::kBackupPromoted:
+        return on_backup_promoted(e.at, MssId(e.id_a), MssId(e.id_b),
+                                  e.count_a);
+      case Hook::kMssDeparted:
+        return on_mss_departed(e.at, MssId(e.id_a), e.epoch);
+      case Hook::kMssRejoined:
+        return on_mss_rejoined(e.at, MssId(e.id_a), e.epoch);
+      case Hook::kPrimaryDemoted:
+        return on_primary_demoted(e.at, MssId(e.id_a), e.count_a);
+    }
+  }
+
+ protected:
+  // The typed view of the event stream, one hook per kind.  Protected so
+  // that nothing emits through them: events enter through on_event, and a
+  // typed consumer's public override is what tests may drive directly.
 
   // --- proxy life-cycle (§3.3) ---
   virtual void on_proxy_created(SimTime, MhId, NodeAddress /*host*/,
@@ -188,14 +304,11 @@ class RdpObserver {
 
 // Fans one event stream out to several observers through flattened
 // dispatch: add() reads each observer's hook_mask() once and builds
-// per-hook subscriber vectors plus a 32-bit active-hook mask, so a hook
+// per-kind subscriber vectors plus a 32-bit active-kind mask, so an event
 // nobody subscribed to costs a single bit-test — no probe, no virtual
-// calls — and a subscribed hook walks only its actual subscribers.
-//
-// Each override carries an RDP_PROF_HOOK_SCOPE probe so the profiler
-// (docs/PROTOCOL.md §13) attributes fan-out time per hook kind; the index
-// literals follow the declaration order above and obs/event_names.h
-// kHookNames — the events_fanout test pins the correspondence.
+// calls — and a subscribed one walks only its actual subscribers, in add()
+// order.  The RDP_PROF_HOOK_SCOPE probe lets the profiler (docs/
+// PROTOCOL.md §13) attribute fan-out time per event kind.
 class ObserverList final : public RdpObserver {
  public:
   // Lifetime contract: the list stores the raw pointer and does NOT take
@@ -222,182 +335,24 @@ class ObserverList final : public RdpObserver {
     return active_mask_;
   }
 
-  // Subscribers of one hook, in add() order (the fan-out order).
+  // Subscribers of one kind, in add() order (the fan-out order).
   [[nodiscard]] const std::vector<RdpObserver*>& subscribers(Hook hook) const {
     return by_hook_[static_cast<std::size_t>(hook)];
   }
 
-  void on_proxy_created(SimTime t, MhId mh, NodeAddress host,
-                        ProxyId p) override {
-    if ((active_mask_ & (1u << 0)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(0);
-    for (auto* o : by_hook_[0]) o->on_proxy_created(t, mh, host, p);
-  }
-  void on_proxy_deleted(SimTime t, MhId mh, NodeAddress host, ProxyId p,
-                        bool gc) override {
-    if ((active_mask_ & (1u << 1)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(1);
-    for (auto* o : by_hook_[1]) o->on_proxy_deleted(t, mh, host, p, gc);
-  }
-  void on_request_issued(SimTime t, MhId mh, RequestId r,
-                         NodeAddress s) override {
-    if ((active_mask_ & (1u << 2)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(2);
-    for (auto* o : by_hook_[2]) o->on_request_issued(t, mh, r, s);
-  }
-  void on_request_reached_proxy(SimTime t, MhId mh, RequestId r,
-                                NodeAddress host) override {
-    if ((active_mask_ & (1u << 3)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(3);
-    for (auto* o : by_hook_[3]) o->on_request_reached_proxy(t, mh, r, host);
-  }
-  void on_result_at_proxy(SimTime t, MhId mh, RequestId r,
-                          std::uint32_t seq) override {
-    if ((active_mask_ & (1u << 4)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(4);
-    for (auto* o : by_hook_[4]) o->on_result_at_proxy(t, mh, r, seq);
-  }
-  void on_result_forwarded(SimTime t, MhId mh, RequestId r, std::uint32_t seq,
-                           NodeAddress to, std::uint32_t attempt,
-                           bool del_pref) override {
-    if ((active_mask_ & (1u << 5)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(5);
-    for (auto* o : by_hook_[5])
-      o->on_result_forwarded(t, mh, r, seq, to, attempt, del_pref);
-  }
-  void on_result_delivered(SimTime t, MhId mh, RequestId r, std::uint32_t seq,
-                           bool final, bool dup,
-                           std::uint32_t attempt) override {
-    if ((active_mask_ & (1u << 6)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(6);
-    for (auto* o : by_hook_[6])
-      o->on_result_delivered(t, mh, r, seq, final, dup, attempt);
-  }
-  void on_ack_forwarded(SimTime t, MhId mh, RequestId r, std::uint32_t seq,
-                        bool del_proxy) override {
-    if ((active_mask_ & (1u << 7)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(7);
-    for (auto* o : by_hook_[7]) o->on_ack_forwarded(t, mh, r, seq, del_proxy);
-  }
-  void on_request_completed(SimTime t, MhId mh, RequestId r) override {
-    if ((active_mask_ & (1u << 8)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(8);
-    for (auto* o : by_hook_[8]) o->on_request_completed(t, mh, r);
-  }
-  void on_reissue_exhausted(SimTime t, MhId mh, RequestId r,
-                            int attempts) override {
-    if ((active_mask_ & (1u << 9)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(9);
-    for (auto* o : by_hook_[9]) o->on_reissue_exhausted(t, mh, r, attempts);
-  }
-  void on_arq_frame_sent(SimTime t, MhId mh, std::uint32_t epoch,
-                         std::uint32_t seq, std::uint32_t attempt,
-                         std::size_t in_flight,
-                         std::size_t window_limit) override {
-    if ((active_mask_ & (1u << 11)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(11);
-    for (auto* o : by_hook_[11])
-      o->on_arq_frame_sent(t, mh, epoch, seq, attempt, in_flight,
-                           window_limit);
-  }
-  void on_arq_delivered(SimTime t, MhId mh, std::uint32_t epoch,
-                        std::uint32_t seq, bool duplicate) override {
-    if ((active_mask_ & (1u << 12)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(12);
-    for (auto* o : by_hook_[12])
-      o->on_arq_delivered(t, mh, epoch, seq, duplicate);
-  }
-  void on_request_lost(SimTime t, MhId mh, RequestId r,
-                       RequestLossReason reason) override {
-    if ((active_mask_ & (1u << 10)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(10);
-    for (auto* o : by_hook_[10]) o->on_request_lost(t, mh, r, reason);
-  }
-  void on_handoff_started(SimTime t, MhId mh, MssId from, MssId to) override {
-    if ((active_mask_ & (1u << 13)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(13);
-    for (auto* o : by_hook_[13]) o->on_handoff_started(t, mh, from, to);
-  }
-  void on_handoff_completed(SimTime t, MhId mh, MssId from, MssId to,
-                            Duration latency, std::size_t bytes) override {
-    if ((active_mask_ & (1u << 14)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(14);
-    for (auto* o : by_hook_[14])
-      o->on_handoff_completed(t, mh, from, to, latency, bytes);
-  }
-  void on_update_currentloc(SimTime t, MhId mh, NodeAddress host,
-                            NodeAddress loc) override {
-    if ((active_mask_ & (1u << 15)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(15);
-    for (auto* o : by_hook_[15]) o->on_update_currentloc(t, mh, host, loc);
-  }
-  void on_mh_registered(SimTime t, MhId mh, MssId mss, Duration d) override {
-    if ((active_mask_ & (1u << 16)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(16);
-    for (auto* o : by_hook_[16]) o->on_mh_registered(t, mh, mss, d);
-  }
-  void on_stale_ack_dropped(SimTime t, MhId mh, RequestId r) override {
-    if ((active_mask_ & (1u << 17)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(17);
-    for (auto* o : by_hook_[17]) o->on_stale_ack_dropped(t, mh, r);
-  }
-  void on_delproxy_with_pending(SimTime t, MhId mh, ProxyId p) override {
-    if ((active_mask_ & (1u << 18)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(18);
-    for (auto* o : by_hook_[18]) o->on_delproxy_with_pending(t, mh, p);
-  }
-  void on_orphaned_proxy(SimTime t, MhId mh, ProxyId p) override {
-    if ((active_mask_ & (1u << 19)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(19);
-    for (auto* o : by_hook_[19]) o->on_orphaned_proxy(t, mh, p);
-  }
-  void on_mss_crashed(SimTime t, MssId mss, std::size_t proxies,
-                      std::size_t mhs) override {
-    if ((active_mask_ & (1u << 20)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(20);
-    for (auto* o : by_hook_[20]) o->on_mss_crashed(t, mss, proxies, mhs);
-  }
-  void on_mss_restarted(SimTime t, MssId mss, std::size_t restored) override {
-    if ((active_mask_ & (1u << 21)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(21);
-    for (auto* o : by_hook_[21]) o->on_mss_restarted(t, mss, restored);
-  }
-  void on_proxy_restored(SimTime t, MhId mh, NodeAddress host,
-                         ProxyId p) override {
-    if ((active_mask_ & (1u << 22)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(22);
-    for (auto* o : by_hook_[22]) o->on_proxy_restored(t, mh, host, p);
-  }
-  void on_request_reissued(SimTime t, MhId mh, RequestId r,
-                           int attempt) override {
-    if ((active_mask_ & (1u << 23)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(23);
-    for (auto* o : by_hook_[23]) o->on_request_reissued(t, mh, r, attempt);
-  }
-  void on_backup_promoted(SimTime t, MssId primary, MssId backup,
-                          std::size_t adopted) override {
-    if ((active_mask_ & (1u << 24)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(24);
-    for (auto* o : by_hook_[24])
-      o->on_backup_promoted(t, primary, backup, adopted);
-  }
-  void on_mss_departed(SimTime t, MssId mss, std::uint64_t epoch) override {
-    if ((active_mask_ & (1u << 25)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(25);
-    for (auto* o : by_hook_[25]) o->on_mss_departed(t, mss, epoch);
-  }
-  void on_mss_rejoined(SimTime t, MssId mss, std::uint64_t epoch) override {
-    if ((active_mask_ & (1u << 26)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(26);
-    for (auto* o : by_hook_[26]) o->on_mss_rejoined(t, mss, epoch);
-  }
-  void on_primary_demoted(SimTime t, MssId mss, std::size_t dropped) override {
-    if ((active_mask_ & (1u << 27)) == 0) return;
-    RDP_PROF_HOOK_SCOPE(27);
-    for (auto* o : by_hook_[27]) o->on_primary_demoted(t, mss, dropped);
+  void on_event(const Event& event) override {
+    const int h = static_cast<int>(event.kind);
+    if ((active_mask_ & (1u << h)) != 0) fan_out(h, event);
   }
 
  private:
+  // Kept apart from on_event so that the unsubscribed case stays a bare
+  // bit-test the compiler can inline, without the probe's set-up.
+  void fan_out(int h, const Event& event) const {
+    RDP_PROF_HOOK_SCOPE(h);
+    for (auto* o : by_hook_[h]) o->on_event(event);
+  }
+
   std::vector<RdpObserver*> observers_;
   std::array<std::vector<RdpObserver*>, kHookCount> by_hook_;
   std::uint32_t active_mask_ = 0;

@@ -109,8 +109,11 @@ void MobileHostAgent::migrate(common::CellId target,
 void MobileHostAgent::leave() {
   RDP_CHECK(active_, id_.str() + " left while inactive");
   for (RequestId request : pending_requests_) {
-    runtime_.observer.on_request_lost(runtime_.simulator.now(), id_, request,
-                                      RequestLossReason::kMhLeft);
+    runtime_.observer.on_event({.kind = Hook::kRequestLost,
+                                .at = runtime_.simulator.now(),
+                                .mh = id_,
+                                .request = request,
+                                .reason = RequestLossReason::kMhLeft});
   }
   pending_requests_.clear();
   pending_info_.clear();
@@ -175,8 +178,11 @@ RequestId MobileHostAgent::issue_request(NodeAddress server, std::string body,
     info.last_progress = runtime_.simulator.now();
     if (active_) arm_reissue_timer();
   }
-  runtime_.observer.on_request_issued(runtime_.simulator.now(), id_, request,
-                                      server);
+  runtime_.observer.on_event({.kind = Hook::kRequestIssued,
+                              .at = runtime_.simulator.now(),
+                              .mh = id_,
+                              .request = request,
+                              .id_a = server.value()});
   auto payload = net::make_message<MsgUplinkRequest>(request, server,
                                                      std::move(body), stream);
   if (registered_ && active_) {
@@ -243,11 +249,18 @@ void MobileHostAgent::run_reissue_check() {
     }
     if (info.reissues >= runtime_.config.max_reissue_attempts) {
       runtime_.counters.increment("mh.reissue_gave_up");
-      runtime_.observer.on_reissue_exhausted(runtime_.simulator.now(), id_,
-                                             it->first, info.reissues);
-      runtime_.observer.on_request_lost(runtime_.simulator.now(), id_,
-                                        it->first,
-                                        RequestLossReason::kReissueExhausted);
+      runtime_.observer.on_event(
+          {.kind = Hook::kReissueExhausted,
+           .at = runtime_.simulator.now(),
+           .mh = id_,
+           .request = it->first,
+           .attempt = static_cast<std::uint32_t>(info.reissues)});
+      runtime_.observer.on_event(
+          {.kind = Hook::kRequestLost,
+           .at = runtime_.simulator.now(),
+           .mh = id_,
+           .request = it->first,
+           .reason = RequestLossReason::kReissueExhausted});
       pending_requests_.erase(it->first);
       it = pending_info_.erase(it);
       continue;
@@ -256,8 +269,12 @@ void MobileHostAgent::run_reissue_check() {
     any_stale = true;
     info.last_progress = runtime_.simulator.now();
     runtime_.counters.increment("mh.reissues");
-    runtime_.observer.on_request_reissued(runtime_.simulator.now(), id_,
-                                          it->first, info.reissues);
+    runtime_.observer.on_event(
+        {.kind = Hook::kRequestReissued,
+         .at = runtime_.simulator.now(),
+         .mh = id_,
+         .request = it->first,
+         .attempt = static_cast<std::uint32_t>(info.reissues)});
     // Queue the copy rather than uplinking it now: the re-registration
     // below must complete first, or the request would race the greet on
     // the wireless network and hit an Mss that does not know the Mh.
@@ -290,9 +307,12 @@ void MobileHostAgent::on_downlink(common::CellId /*cell*/,
       joined_ = true;
       resp_mss_ = ack->mss;
       registration_timer_.cancel();
-      runtime_.observer.on_mh_registered(runtime_.simulator.now(), id_,
-                                         ack->mss,
-                                         runtime_.simulator.now() - greet_sent_);
+      runtime_.observer.on_event(
+          {.kind = Hook::kMhRegistered,
+           .at = runtime_.simulator.now(),
+           .mh = id_,
+           .id_a = ack->mss.value(),
+           .duration = runtime_.simulator.now() - greet_sent_});
       // New registration, new ARQ epoch: the backlog (and anything unacked
       // from the previous respMss) renumbers and retransmits first.
       if (arq_ != nullptr) arq_->open();
@@ -321,10 +341,14 @@ void MobileHostAgent::on_downlink(common::CellId /*cell*/,
     }
     const auto key = std::make_pair(result->request, result->result_seq);
     const bool duplicate = !delivered_.insert(key).second;
-    runtime_.observer.on_result_delivered(runtime_.simulator.now(), id_,
-                                          result->request, result->result_seq,
-                                          result->final, duplicate,
-                                          result->attempt);
+    runtime_.observer.on_event({.kind = Hook::kResultDelivered,
+                                .at = runtime_.simulator.now(),
+                                .mh = id_,
+                                .request = result->request,
+                                .seq = result->result_seq,
+                                .attempt = result->attempt,
+                                .flag_a = result->final,
+                                .flag_b = duplicate});
     if (!duplicate) {
       ++deliveries_;
       if (result->final) pending_requests_.erase(result->request);

@@ -42,9 +42,11 @@ void Mss::on_uplink(MhId from, const net::PayloadPtr& payload) {
     if (const auto* req =
             dynamic_cast<const MsgUplinkRequest*>(&payload->unwrap());
         req != nullptr && !runtime_.config.mh_reissue) {
-      runtime_.observer.on_request_lost(runtime_.simulator.now(), from,
-                                        req->request,
-                                        RequestLossReason::kMssCrashed);
+      runtime_.observer.on_event({.kind = Hook::kRequestLost,
+                                  .at = runtime_.simulator.now(),
+                                  .mh = from,
+                                  .request = req->request,
+                                  .reason = RequestLossReason::kMssCrashed});
     }
     return;
   }
@@ -185,8 +187,11 @@ void Mss::handle_greet(MhId mh, MssId old_mss) {
 
   pending_handoffs_[mh] =
       PendingHandoff{old_mss, runtime_.simulator.now(), NodeAddress::invalid()};
-  runtime_.observer.on_handoff_started(runtime_.simulator.now(), mh, old_mss,
-                                       id_);
+  runtime_.observer.on_event({.kind = Hook::kHandoffStarted,
+                              .at = runtime_.simulator.now(),
+                              .mh = mh,
+                              .id_a = old_mss.value(),
+                              .id_b = id_.value()});
   runtime_.wired.send(address_, old_address,
                       net::make_message<MsgDereg>(mh, id_));
 }
@@ -200,9 +205,11 @@ void Mss::handle_uplink_request(MhId mh, const MsgUplinkRequest& msg) {
     // loss only if it exhausts its attempts, so the drop is not terminal.
     count("mss.stale_request_dropped");
     if (!runtime_.config.mh_reissue) {
-      runtime_.observer.on_request_lost(runtime_.simulator.now(), mh,
-                                        msg.request,
-                                        RequestLossReason::kMhLeft);
+      runtime_.observer.on_event({.kind = Hook::kRequestLost,
+                                  .at = runtime_.simulator.now(),
+                                  .mh = mh,
+                                  .request = msg.request,
+                                  .reason = RequestLossReason::kMhLeft});
     }
     return;
   }
@@ -243,8 +250,10 @@ void Mss::handle_uplink_ack(MhId mh, const MsgUplinkAck& msg) {
   if (!local_mhs_.contains(mh)) {
     // §3.1: after a dereg the old Mss ignores all further Acks from the Mh.
     count("mss.stale_ack_dropped");
-    runtime_.observer.on_stale_ack_dropped(runtime_.simulator.now(), mh,
-                                           msg.request);
+    runtime_.observer.on_event({.kind = Hook::kStaleAckDropped,
+                                .at = runtime_.simulator.now(),
+                                .mh = mh,
+                                .request = msg.request});
     return;
   }
   if (runtime_.config.mss_result_cache) {
@@ -274,8 +283,12 @@ void Mss::handle_uplink_ack(MhId mh, const MsgUplinkAck& msg) {
   const ProxyId proxy_id = pref.proxy;
   const net::PayloadPtr forward = net::make_message<MsgAckForward>(
       mh, proxy_id, msg.request, msg.result_seq, del_proxy);
-  runtime_.observer.on_ack_forwarded(runtime_.simulator.now(), mh, msg.request,
-                                     msg.result_seq, del_proxy);
+  runtime_.observer.on_event({.kind = Hook::kAckForwarded,
+                              .at = runtime_.simulator.now(),
+                              .mh = mh,
+                              .request = msg.request,
+                              .seq = msg.result_seq,
+                              .flag_a = del_proxy});
   count("mss.acks_relayed");
   Pref route_copy = pref;
   if (del_proxy) pref.clear();  // erase proxy address from pref (§3.3)
@@ -417,9 +430,14 @@ void Mss::handle_dereg_ack(const MsgDeregAck& msg) {
   local_mhs_.insert(mh);
   prefs_[mh] = msg.pref;
   departed_to_.erase(mh);
-  runtime_.observer.on_handoff_completed(
-      runtime_.simulator.now(), mh, pending.old_mss, id_,
-      runtime_.simulator.now() - pending.started, msg.wire_size());
+  runtime_.observer.on_event(
+      {.kind = Hook::kHandoffCompleted,
+       .at = runtime_.simulator.now(),
+       .mh = mh,
+       .id_a = pending.old_mss.value(),
+       .id_b = id_.value(),
+       .count_a = msg.wire_size(),
+       .duration = runtime_.simulator.now() - pending.started});
   count("mss.handoffs_in");
 
   // A repair that arrived mid-hand-off is applied now that the pref is
@@ -714,9 +732,11 @@ void Mss::drop_adopted_proxy(ProxyId proxy) {
   // bookkeeping stays consistent.)
   if (!runtime_.config.mh_reissue) {
     for (const RequestId request : it->second->pending_requests()) {
-      runtime_.observer.on_request_lost(runtime_.simulator.now(),
-                                        it->second->mh(), request,
-                                        RequestLossReason::kProxyGone);
+      runtime_.observer.on_event({.kind = Hook::kRequestLost,
+                                  .at = runtime_.simulator.now(),
+                                  .mh = it->second->mh(),
+                                  .request = request,
+                                  .reason = RequestLossReason::kProxyGone});
     }
   }
   count("mss.adopted_proxies_dropped");
@@ -807,8 +827,11 @@ void Mss::send_update_currentloc(MhId mh, const Pref& pref) {
       return;
     }
   }
-  runtime_.observer.on_update_currentloc(runtime_.simulator.now(), mh,
-                                         pref.proxy_host, address_);
+  runtime_.observer.on_event({.kind = Hook::kUpdateCurrentloc,
+                              .at = runtime_.simulator.now(),
+                              .mh = mh,
+                              .id_a = pref.proxy_host.value(),
+                              .id_b = address_.value()});
   count("mss.update_currentloc_sent");
   if (pref.proxy_host == address_) {
     auto it = proxies_.find(pref.proxy);
@@ -862,9 +885,11 @@ std::size_t Mss::demote_proxies() {
     for (const auto& [id, proxy] : proxies_) {
       if (replication_ != nullptr && replication_->covers(id)) continue;
       for (const RequestId request : proxy->pending_requests()) {
-        runtime_.observer.on_request_lost(runtime_.simulator.now(),
-                                          proxy->mh(), request,
-                                          RequestLossReason::kProxyGone);
+        runtime_.observer.on_event({.kind = Hook::kRequestLost,
+                                    .at = runtime_.simulator.now(),
+                                    .mh = proxy->mh(),
+                                    .request = request,
+                                    .reason = RequestLossReason::kProxyGone});
       }
     }
   }
@@ -881,8 +906,12 @@ std::size_t Mss::demote_proxies() {
 void Mss::delete_proxy(ProxyId id, bool via_gc) {
   auto it = proxies_.find(id);
   RDP_CHECK(it != proxies_.end(), "deleting unknown proxy");
-  runtime_.observer.on_proxy_deleted(runtime_.simulator.now(),
-                                     it->second->mh(), address_, id, via_gc);
+  runtime_.observer.on_event({.kind = Hook::kProxyDeleted,
+                              .at = runtime_.simulator.now(),
+                              .mh = it->second->mh(),
+                              .id_a = address_.value(),
+                              .id_b = id.value(),
+                              .flag_a = via_gc});
   count(via_gc ? "mss.proxies_gc" : "mss.proxies_deleted");
   proxies_.erase(it);
   if (checkpoint_store_ != nullptr) checkpoint_store_->erase(id_, id);
@@ -912,17 +941,21 @@ void Mss::run_gc() {
       // The Mh has been unreachable for a very long time (left the system
       // or died): the pending requests are unrecoverable.
       for (const RequestId request : proxy->pending_requests()) {
-        runtime_.observer.on_request_lost(runtime_.simulator.now(),
-                                          proxy->mh(), request,
-                                          RequestLossReason::kMhLeft);
+        runtime_.observer.on_event({.kind = Hook::kRequestLost,
+                                    .at = runtime_.simulator.now(),
+                                    .mh = proxy->mh(),
+                                    .request = request,
+                                    .reason = RequestLossReason::kMhLeft});
       }
       count("mss.proxies_abandoned");
       dead.push_back(id);
     }
   }
   for (ProxyId id : dead) {
-    runtime_.observer.on_orphaned_proxy(runtime_.simulator.now(),
-                                        proxies_.at(id)->mh(), id);
+    runtime_.observer.on_event({.kind = Hook::kOrphanedProxy,
+                                .at = runtime_.simulator.now(),
+                                .mh = proxies_.at(id)->mh(),
+                                .id_a = id.value()});
     delete_proxy(id, /*via_gc=*/true);
   }
   if (!proxies_.empty()) schedule_gc();
@@ -954,9 +987,11 @@ void Mss::crash() {
         continue;
       }
       for (const RequestId request : proxy->pending_requests()) {
-        runtime_.observer.on_request_lost(runtime_.simulator.now(),
-                                          proxy->mh(), request,
-                                          RequestLossReason::kMssCrashed);
+        runtime_.observer.on_event({.kind = Hook::kRequestLost,
+                                    .at = runtime_.simulator.now(),
+                                    .mh = proxy->mh(),
+                                    .request = request,
+                                    .reason = RequestLossReason::kMssCrashed});
       }
     }
   }
@@ -985,8 +1020,11 @@ void Mss::crash() {
   if (arq_ != nullptr) arq_->clear();
 
   count("mss.crashes");
-  runtime_.observer.on_mss_crashed(runtime_.simulator.now(), id_, proxies_lost,
-                                   mhs_detached);
+  runtime_.observer.on_event({.kind = Hook::kMssCrashed,
+                              .at = runtime_.simulator.now(),
+                              .id_a = id_.value(),
+                              .count_a = proxies_lost,
+                              .count_b = mhs_detached});
 }
 
 void Mss::restart() {
@@ -1017,7 +1055,10 @@ void Mss::restart() {
     }
   }
   if (replication_ != nullptr) replication_->on_host_restarted();
-  runtime_.observer.on_mss_restarted(runtime_.simulator.now(), id_, restored);
+  runtime_.observer.on_event({.kind = Hook::kMssRestarted,
+                              .at = runtime_.simulator.now(),
+                              .id_a = id_.value(),
+                              .count_a = restored});
 }
 
 void Mss::checkpoint_proxy(ProxyId id) {

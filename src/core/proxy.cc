@@ -11,8 +11,11 @@ Proxy::Proxy(Runtime& runtime, ProxyHost& host, NodeAddress host_address,
       mh_(mh),
       current_loc_(host_address),
       last_activity_(runtime.simulator.now()) {
-  runtime_.observer.on_proxy_created(runtime_.simulator.now(), mh_,
-                                     host_address_, id_);
+  runtime_.observer.on_event({.kind = Hook::kProxyCreated,
+                              .at = runtime_.simulator.now(),
+                              .mh = mh_,
+                              .id_a = host_address_.value(),
+                              .id_b = id_.value()});
 }
 
 Proxy::Proxy(Runtime& runtime, ProxyHost& host, NodeAddress host_address,
@@ -38,8 +41,11 @@ Proxy::Proxy(Runtime& runtime, ProxyHost& host, NodeAddress host_address,
       stored.attempts = result.attempts;
     }
   }
-  runtime_.observer.on_proxy_restored(runtime_.simulator.now(), mh_,
-                                      host_address_, id_);
+  runtime_.observer.on_event({.kind = Hook::kProxyRestored,
+                              .at = runtime_.simulator.now(),
+                              .mh = mh_,
+                              .id_a = host_address_.value(),
+                              .id_b = id_.value()});
 }
 
 ProxyCheckpoint Proxy::checkpoint() const {
@@ -120,8 +126,11 @@ void Proxy::handle_request(RequestId request, NodeAddress server,
   // re-announce once the request list shrinks back to one.
   for (auto& [id, entry] : pending_) entry.del_pref_announced = false;
 
-  runtime_.observer.on_request_reached_proxy(runtime_.simulator.now(), mh_,
-                                             request, host_address_);
+  runtime_.observer.on_event({.kind = Hook::kRequestReachedProxy,
+                              .at = runtime_.simulator.now(),
+                              .mh = mh_,
+                              .request = request,
+                              .id_a = host_address_.value()});
   runtime_.wired.send(host_address_, server,
                       net::make_message<MsgServerRequest>(
                           host_address_, id_, request, std::move(body),
@@ -167,8 +176,11 @@ void Proxy::handle_server_result(const MsgServerResult& msg) {
   stored.final = msg.final;
   stored.body = msg.body;
 
-  runtime_.observer.on_result_at_proxy(runtime_.simulator.now(), mh_,
-                                       msg.request, msg.result_seq);
+  runtime_.observer.on_event({.kind = Hook::kResultAtProxy,
+                              .at = runtime_.simulator.now(),
+                              .mh = mh_,
+                              .request = msg.request,
+                              .seq = msg.result_seq});
   const bool del_pref = compute_del_pref(entry, stored);
   if (del_pref) entry.del_pref_announced = true;
   forward_result(msg.request, stored, del_pref);
@@ -177,9 +189,14 @@ void Proxy::handle_server_result(const MsgServerResult& msg) {
 void Proxy::forward_result(RequestId request, StoredResult& result,
                            bool del_pref) {
   ++result.attempts;
-  runtime_.observer.on_result_forwarded(runtime_.simulator.now(), mh_, request,
-                                        result.seq, current_loc_,
-                                        result.attempts, del_pref);
+  runtime_.observer.on_event({.kind = Hook::kResultForwarded,
+                              .at = runtime_.simulator.now(),
+                              .mh = mh_,
+                              .request = request,
+                              .id_a = current_loc_.value(),
+                              .seq = result.seq,
+                              .attempt = result.attempts,
+                              .flag_a = del_pref});
   send_to_mss(current_loc_,
               net::make_message<MsgResultForward>(
                   mh_, host_address_, id_, request, result.seq, result.final,
@@ -236,8 +253,10 @@ bool Proxy::handle_ack(const MsgAckForward& msg) {
                               net::make_message<MsgServerAck>(msg.request));
         }
         pending_.erase(it);
-        runtime_.observer.on_request_completed(runtime_.simulator.now(), mh_,
-                                               msg.request);
+        runtime_.observer.on_event({.kind = Hook::kRequestCompleted,
+                                    .at = runtime_.simulator.now(),
+                                    .mh = mh_,
+                                    .request = msg.request});
       }
       // Either a request just completed (another one may now be the single
       // pending request) or an earlier stream result was acknowledged
@@ -253,8 +272,10 @@ bool Proxy::handle_ack(const MsgAckForward& msg) {
       // an outdated del-pref and already erased the pref.  Deleting now
       // would lose pending requests; refuse, count the anomaly, and ask
       // the respMss to re-install the pref so delivery can continue.
-      runtime_.observer.on_delproxy_with_pending(runtime_.simulator.now(),
-                                                 mh_, id_);
+      runtime_.observer.on_event({.kind = Hook::kDelproxyWithPending,
+                                  .at = runtime_.simulator.now(),
+                                  .mh = mh_,
+                                  .id_a = id_.value()});
       send_to_mss(current_loc_,
                   net::make_message<MsgPrefRestore>(mh_, host_address_, id_),
                   sim::EventPriority::kAck);

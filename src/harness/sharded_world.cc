@@ -393,7 +393,10 @@ void ShardedWorld::apply_churn(common::SimTime now) {
         shards_.at(static_cast<std::size_t>(
                        cell_shard_[static_cast<std::size_t>(event.mss)]))
             ->counters.increment("membership.rejoins");
-        observers_.on_mss_rejoined(now, id, directory_.membership_epoch());
+        observers_.on_event({.kind = core::Hook::kMssRejoined,
+                             .at = now,
+                             .id_a = id.value(),
+                             .epoch = directory_.membership_epoch()});
       }
     }
   }
@@ -412,7 +415,10 @@ void ShardedWorld::apply_churn(common::SimTime now) {
     shards_.at(static_cast<std::size_t>(
                    cell_shard_[static_cast<std::size_t>(id.value())]))
         ->counters.increment("membership.departures");
-    observers_.on_mss_departed(now, id, directory_.membership_epoch());
+    observers_.on_event({.kind = core::Hook::kMssDeparted,
+                         .at = now,
+                         .id_a = id.value(),
+                         .epoch = directory_.membership_epoch()});
   }
 }
 

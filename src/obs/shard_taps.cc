@@ -1,6 +1,9 @@
 #include "obs/shard_taps.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <iterator>
 
 #include "net/shard_router.h"
 #include "obs/perf_probe.h"
@@ -10,61 +13,108 @@ namespace rdp::obs {
 
 namespace {
 
-// Hook discriminators.  The value doubles as the tie-break rank for hooks
-// sharing one (time, tag), so the ranks are chosen to match causal emission
-// order for every pair a single handler can emit at the same instant: a
-// proxy is created before requests reach it, results arrive before they are
-// forwarded, and acks, completions and losses are recorded before the
-// deletion they trigger (an Mss tearing down a co-located proxy emits all
-// of these at one timestamp).  Hooks from different nodes at the same
-// instant are concurrent — anything causally related is separated by at
-// least one wire latency — so for those any fixed rank works.
+using core::Hook;
+
+// Tie-break ranks for events sharing one (time, tag), in rank order.  The
+// ranks are chosen to match causal emission order for every pair a single
+// handler can emit at the same instant: a proxy is created before requests
+// reach it, results arrive before they are forwarded, and acks,
+// completions and losses are recorded before the deletion they trigger (an
+// Mss tearing down a co-located proxy emits all of these at one
+// timestamp).  Events from different nodes at the same instant are
+// concurrent — anything causally related is separated by at least one
+// wire latency — so for those any fixed rank works.
 //
 // The entire teardown chain ranks BEFORE the creation chain: one ARQ batch
 // drain can process a final ack (ack -> completed -> proxy deleted) and the
 // Mh's next request (proxy created -> reached) back-to-back at a single
-// instant, and replaying the new incarnation's hooks before the old one's
+// instant, and replaying the new incarnation's events before the old one's
 // deletion would bind the fresh request to the dead proxy (a spurious R4).
-enum HookKind : int {
-  kMhRegistered = 0,
-  // ARQ delivery precedes everything it can trigger at the same instant
-  // (request dispatch, proxy creation); the frame-send hook ranks last of
-  // all, because a delivery/ack at time t can enqueue and send the next
-  // frame at t (result delivered -> uplinkAck enqueued -> frame sent).
-  kArqDelivered,
-  kResultAtProxy,
-  kResultForwarded,
-  kResultDelivered,
-  kAckForwarded,
-  kRequestCompleted,
-  kStaleAckDropped,
-  kDelproxyWithPending,
-  kReissueExhausted,  // emitted immediately before its on_request_lost
-  kRequestLost,
-  kOrphanedProxy,
-  kProxyDeleted,
-  kProxyCreated,
-  kProxyRestored,
-  kBackupPromoted,
-  kRequestIssued,
-  kRequestReissued,
-  kRequestReachedProxy,
-  kHandoffStarted,
-  kHandoffCompleted,
-  kUpdateCurrentloc,
-  kMssCrashed,
-  kMssRestarted,
-  kArqFrameSent,  // see kArqDelivered comment
+constexpr Hook kRankOrder[] = {
+    Hook::kMhRegistered,
+    // ARQ delivery precedes everything it can trigger at the same instant
+    // (request dispatch, proxy creation); the frame-send event ranks last
+    // of all, because a delivery/ack at time t can enqueue and send the
+    // next frame at t (result delivered -> uplinkAck enqueued -> frame
+    // sent).
+    Hook::kArqDelivered,
+    Hook::kResultAtProxy,
+    Hook::kResultForwarded,
+    Hook::kResultDelivered,
+    Hook::kAckForwarded,
+    Hook::kRequestCompleted,
+    Hook::kStaleAckDropped,
+    Hook::kDelproxyWithPending,
+    Hook::kReissueExhausted,  // emitted immediately before its request_lost
+    Hook::kRequestLost,
+    Hook::kOrphanedProxy,
+    Hook::kProxyDeleted,
+    Hook::kProxyCreated,
+    Hook::kProxyRestored,
+    Hook::kBackupPromoted,
+    Hook::kRequestIssued,
+    Hook::kRequestReissued,
+    Hook::kRequestReachedProxy,
+    Hook::kHandoffStarted,
+    Hook::kHandoffCompleted,
+    Hook::kUpdateCurrentloc,
+    Hook::kMssCrashed,
+    Hook::kMssRestarted,
+    Hook::kArqFrameSent,  // see kArqDelivered
 };
 
-}  // namespace
+static_assert(std::size(kRankOrder) ==
+                  static_cast<std::size_t>(
+                      std::popcount(ShardObserverBuffer::kMask)),
+              "every buffered kind needs exactly one rank");
 
-void ShardObserverBuffer::push(
-    common::SimTime at, std::uint64_t tag, int kind, std::uint64_t tag2,
-    sim::SmallFn<void(core::RdpObserver&), 64> replay) {
-  hooks_.push_back(
-      BufferedHook{at, tag, kind, tag2, next_idx_++, std::move(replay)});
+// Rank of each kind, indexed by Hook (the unbuffered membership kinds keep
+// rank 0; they never reach the merger).
+constexpr auto kRank = [] {
+  std::array<std::int32_t, core::RdpObserver::kHookCount> rank{};
+  for (std::size_t i = 0; i < std::size(kRankOrder); ++i) {
+    rank[static_cast<std::size_t>(kRankOrder[i])] =
+        static_cast<std::int32_t>(i);
+  }
+  return rank;
+}();
+
+struct SortKey {
+  std::uint64_t tag;   // primary entity (mh, or kMssTagBase | mss)
+  std::int32_t rank;   // see kRankOrder
+  std::uint64_t tag2;  // secondary entity / sequence discriminator
+};
+
+// The canonical sort key of one event (see the header comment).
+SortKey sort_key(const core::Event& e) {
+  const std::int32_t rank = kRank[static_cast<std::size_t>(e.kind)];
+  const std::uint64_t mh = e.mh.value();
+  switch (e.kind) {
+    case Hook::kMssCrashed:
+    case Hook::kMssRestarted:
+    case Hook::kBackupPromoted:  // keyed by the primary; the backup is id_b
+      return {ShardObserverBuffer::kMssTagBase | e.id_a, rank, e.id_b};
+    case Hook::kArqFrameSent:
+    case Hook::kArqDelivered:
+      return {mh, rank, (e.epoch << 32) | e.seq};
+    case Hook::kHandoffStarted:
+    case Hook::kHandoffCompleted:
+      return {mh, rank, e.id_b};  // the new Mss
+    case Hook::kProxyCreated:
+    case Hook::kProxyDeleted:
+    case Hook::kProxyRestored:
+    case Hook::kResultForwarded:
+    case Hook::kUpdateCurrentloc:
+    case Hook::kMhRegistered:
+    case Hook::kDelproxyWithPending:
+    case Hook::kOrphanedProxy:
+      return {mh, rank, e.id_a};  // host, target Mss or proxy
+    default:
+      return {mh, rank, e.request.seq()};
+  }
 }
+
+}  // namespace
 
 void ShardObserverBuffer::on_wired_send(const net::Envelope& envelope) {
   wired_.push_back(BufferedWiredSend{
@@ -78,216 +128,6 @@ void ShardObserverBuffer::on_wireless_frame(common::MhId mh,
                                             net::FramePhase phase) {
   frames_.push_back(BufferedFrame{simulator_.now(), mh, uplink, phase, payload,
                                   next_idx_++});
-}
-
-void ShardObserverBuffer::on_proxy_created(core::SimTime t, common::MhId mh,
-                                           common::NodeAddress host,
-                                           common::ProxyId p) {
-  push(t, mh.value(), kProxyCreated, host.value(),
-       [=](core::RdpObserver& o) { o.on_proxy_created(t, mh, host, p); });
-}
-
-void ShardObserverBuffer::on_proxy_deleted(core::SimTime t, common::MhId mh,
-                                           common::NodeAddress host,
-                                           common::ProxyId p, bool gc) {
-  push(t, mh.value(), kProxyDeleted, host.value(),
-       [=](core::RdpObserver& o) { o.on_proxy_deleted(t, mh, host, p, gc); });
-}
-
-void ShardObserverBuffer::on_request_issued(core::SimTime t, common::MhId mh,
-                                            common::RequestId r,
-                                            common::NodeAddress server) {
-  push(t, mh.value(), kRequestIssued, r.seq(),
-       [=](core::RdpObserver& o) { o.on_request_issued(t, mh, r, server); });
-}
-
-void ShardObserverBuffer::on_request_reached_proxy(core::SimTime t,
-                                                   common::MhId mh,
-                                                   common::RequestId r,
-                                                   common::NodeAddress host) {
-  push(t, mh.value(), kRequestReachedProxy, r.seq(),
-       [=](core::RdpObserver& o) {
-         o.on_request_reached_proxy(t, mh, r, host);
-       });
-}
-
-void ShardObserverBuffer::on_result_at_proxy(core::SimTime t, common::MhId mh,
-                                             common::RequestId r,
-                                             std::uint32_t seq) {
-  push(t, mh.value(), kResultAtProxy, r.seq(),
-       [=](core::RdpObserver& o) { o.on_result_at_proxy(t, mh, r, seq); });
-}
-
-void ShardObserverBuffer::on_result_forwarded(core::SimTime t, common::MhId mh,
-                                              common::RequestId r,
-                                              std::uint32_t seq,
-                                              common::NodeAddress to,
-                                              std::uint32_t attempt,
-                                              bool del_pref) {
-  push(t, mh.value(), kResultForwarded, to.value(),
-       [=](core::RdpObserver& o) {
-         o.on_result_forwarded(t, mh, r, seq, to, attempt, del_pref);
-       });
-}
-
-void ShardObserverBuffer::on_result_delivered(core::SimTime t, common::MhId mh,
-                                              common::RequestId r,
-                                              std::uint32_t seq, bool final,
-                                              bool dup,
-                                              std::uint32_t attempt) {
-  push(t, mh.value(), kResultDelivered, r.seq(),
-       [=](core::RdpObserver& o) {
-         o.on_result_delivered(t, mh, r, seq, final, dup, attempt);
-       });
-}
-
-void ShardObserverBuffer::on_ack_forwarded(core::SimTime t, common::MhId mh,
-                                           common::RequestId r,
-                                           std::uint32_t seq, bool del_proxy) {
-  push(t, mh.value(), kAckForwarded, r.seq(),
-       [=](core::RdpObserver& o) {
-         o.on_ack_forwarded(t, mh, r, seq, del_proxy);
-       });
-}
-
-void ShardObserverBuffer::on_request_completed(core::SimTime t,
-                                               common::MhId mh,
-                                               common::RequestId r) {
-  push(t, mh.value(), kRequestCompleted, r.seq(),
-       [=](core::RdpObserver& o) { o.on_request_completed(t, mh, r); });
-}
-
-void ShardObserverBuffer::on_request_lost(core::SimTime t, common::MhId mh,
-                                          common::RequestId r,
-                                          core::RequestLossReason reason) {
-  push(t, mh.value(), kRequestLost, r.seq(),
-       [=](core::RdpObserver& o) { o.on_request_lost(t, mh, r, reason); });
-}
-
-void ShardObserverBuffer::on_handoff_started(core::SimTime t, common::MhId mh,
-                                             common::MssId from,
-                                             common::MssId to) {
-  push(t, mh.value(), kHandoffStarted, to.value(),
-       [=](core::RdpObserver& o) { o.on_handoff_started(t, mh, from, to); });
-}
-
-void ShardObserverBuffer::on_handoff_completed(core::SimTime t,
-                                               common::MhId mh,
-                                               common::MssId from,
-                                               common::MssId to,
-                                               common::Duration latency,
-                                               std::size_t bytes) {
-  push(t, mh.value(), kHandoffCompleted, to.value(),
-       [=](core::RdpObserver& o) {
-         o.on_handoff_completed(t, mh, from, to, latency, bytes);
-       });
-}
-
-void ShardObserverBuffer::on_update_currentloc(core::SimTime t,
-                                               common::MhId mh,
-                                               common::NodeAddress host,
-                                               common::NodeAddress loc) {
-  push(t, mh.value(), kUpdateCurrentloc, host.value(),
-       [=](core::RdpObserver& o) {
-         o.on_update_currentloc(t, mh, host, loc);
-       });
-}
-
-void ShardObserverBuffer::on_mh_registered(core::SimTime t, common::MhId mh,
-                                           common::MssId mss,
-                                           common::Duration d) {
-  push(t, mh.value(), kMhRegistered, mss.value(),
-       [=](core::RdpObserver& o) { o.on_mh_registered(t, mh, mss, d); });
-}
-
-void ShardObserverBuffer::on_stale_ack_dropped(core::SimTime t,
-                                               common::MhId mh,
-                                               common::RequestId r) {
-  push(t, mh.value(), kStaleAckDropped, r.seq(),
-       [=](core::RdpObserver& o) { o.on_stale_ack_dropped(t, mh, r); });
-}
-
-void ShardObserverBuffer::on_delproxy_with_pending(core::SimTime t,
-                                                   common::MhId mh,
-                                                   common::ProxyId p) {
-  push(t, mh.value(), kDelproxyWithPending, p.value(),
-       [=](core::RdpObserver& o) { o.on_delproxy_with_pending(t, mh, p); });
-}
-
-void ShardObserverBuffer::on_orphaned_proxy(core::SimTime t, common::MhId mh,
-                                            common::ProxyId p) {
-  push(t, mh.value(), kOrphanedProxy, p.value(),
-       [=](core::RdpObserver& o) { o.on_orphaned_proxy(t, mh, p); });
-}
-
-void ShardObserverBuffer::on_mss_crashed(core::SimTime t, common::MssId mss,
-                                         std::size_t proxies,
-                                         std::size_t mhs) {
-  push(t, kMssTagBase | mss.value(), kMssCrashed, 0,
-       [=](core::RdpObserver& o) { o.on_mss_crashed(t, mss, proxies, mhs); });
-}
-
-void ShardObserverBuffer::on_mss_restarted(core::SimTime t, common::MssId mss,
-                                           std::size_t restored) {
-  push(t, kMssTagBase | mss.value(), kMssRestarted, 0,
-       [=](core::RdpObserver& o) { o.on_mss_restarted(t, mss, restored); });
-}
-
-void ShardObserverBuffer::on_proxy_restored(core::SimTime t, common::MhId mh,
-                                            common::NodeAddress host,
-                                            common::ProxyId p) {
-  push(t, mh.value(), kProxyRestored, host.value(),
-       [=](core::RdpObserver& o) { o.on_proxy_restored(t, mh, host, p); });
-}
-
-void ShardObserverBuffer::on_request_reissued(core::SimTime t, common::MhId mh,
-                                              common::RequestId r,
-                                              int attempt) {
-  push(t, mh.value(), kRequestReissued, r.seq(),
-       [=](core::RdpObserver& o) { o.on_request_reissued(t, mh, r, attempt); });
-}
-
-void ShardObserverBuffer::on_backup_promoted(core::SimTime t,
-                                             common::MssId primary,
-                                             common::MssId backup,
-                                             std::size_t adopted) {
-  push(t, kMssTagBase | primary.value(), kBackupPromoted, backup.value(),
-       [=](core::RdpObserver& o) {
-         o.on_backup_promoted(t, primary, backup, adopted);
-       });
-}
-
-void ShardObserverBuffer::on_reissue_exhausted(core::SimTime t, common::MhId mh,
-                                               common::RequestId r,
-                                               int attempts) {
-  push(t, mh.value(), kReissueExhausted, r.seq(),
-       [=](core::RdpObserver& o) {
-         o.on_reissue_exhausted(t, mh, r, attempts);
-       });
-}
-
-void ShardObserverBuffer::on_arq_frame_sent(core::SimTime t, common::MhId mh,
-                                            std::uint32_t epoch,
-                                            std::uint32_t seq,
-                                            std::uint32_t attempt,
-                                            std::size_t in_flight,
-                                            std::size_t window_limit) {
-  push(t, mh.value(), kArqFrameSent,
-       (static_cast<std::uint64_t>(epoch) << 32) | seq,
-       [=](core::RdpObserver& o) {
-         o.on_arq_frame_sent(t, mh, epoch, seq, attempt, in_flight,
-                             window_limit);
-       });
-}
-
-void ShardObserverBuffer::on_arq_delivered(core::SimTime t, common::MhId mh,
-                                           std::uint32_t epoch,
-                                           std::uint32_t seq, bool duplicate) {
-  push(t, mh.value(), kArqDelivered,
-       (static_cast<std::uint64_t>(epoch) << 32) | seq,
-       [=](core::RdpObserver& o) {
-         o.on_arq_delivered(t, mh, epoch, seq, duplicate);
-       });
 }
 
 // --- merger ----------------------------------------------------------------
@@ -308,15 +148,15 @@ void ShardTapMerger::add_frame_sink(FrameSink sink) {
 }
 
 void ShardTapMerger::flush() {
-  // Barrier-time replay into the global consumers; the per-hook replay
-  // lambdas go through ObserverList, so their cost splits into the
-  // per-hook domains below this one.  The probe itself contributes no
-  // invocation — the count added below is one per replayed record, so the
-  // domain's count reads as fan-outs performed, not barriers crossed.
+  // Barrier-time replay into the global consumers; the replayed events go
+  // through ObserverList, so their cost splits into the per-hook domains
+  // below this one.  The probe itself contributes no invocation — the
+  // count added below is one per replayed record, so the domain's count
+  // reads as fan-outs performed, not barriers crossed.
   RDP_PROF_SCOPE_NOCOUNT(kHookFanout);
   // The sorts move only the compact keys; records stay in their buffers
   // and are replayed through their (shard, pos) coordinates.
-  // Wired sends first, then frames, then hooks (see header).
+  // Wired sends first, then frames, then events (see header).
   wired_keys_.clear();
   for (int s = 0; s < static_cast<int>(buffers_.size()); ++s) {
     const auto& records = buffers_[s]->wired_;
@@ -366,28 +206,28 @@ void ShardTapMerger::flush() {
 
   hook_keys_.clear();
   for (int s = 0; s < static_cast<int>(buffers_.size()); ++s) {
-    const auto& records = buffers_[s]->hooks_;
+    const auto& records = buffers_[s]->events_;
     for (std::uint32_t i = 0; i < records.size(); ++i) {
-      hook_keys_.push_back(HookKey{records[i].at, records[i].tag,
-                                   records[i].tag2, records[i].idx,
-                                   records[i].kind, s, i});
+      const SortKey key = sort_key(records[i].event);
+      hook_keys_.push_back(HookKey{records[i].event.at, key.tag, key.tag2,
+                                   records[i].idx, key.rank, s, i});
     }
   }
   std::sort(hook_keys_.begin(), hook_keys_.end(),
             [](const HookKey& a, const HookKey& b) {
               if (a.at != b.at) return a.at < b.at;
               if (a.tag != b.tag) return a.tag < b.tag;
-              if (a.kind != b.kind) return a.kind < b.kind;
+              if (a.rank != b.rank) return a.rank < b.rank;
               if (a.tag2 != b.tag2) return a.tag2 < b.tag2;
               if (a.shard != b.shard) return a.shard < b.shard;
               return a.idx < b.idx;
             });
   if (hook_sink_ != nullptr) {
     for (const auto& key : hook_keys_) {
-      buffers_[key.shard]->hooks_[key.pos].replay(*hook_sink_);
+      hook_sink_->on_event(buffers_[key.shard]->events_[key.pos].event);
     }
   }
-  for (auto* buffer : buffers_) buffer->hooks_.clear();
+  for (auto* buffer : buffers_) buffer->events_.clear();
 
   RDP_PROF_ADD_COUNT(wired_keys_.size() + frame_keys_.size() +
                      hook_keys_.size());

@@ -5,7 +5,7 @@
 // sensitive, so they cannot be fed concurrently from several worker
 // threads, and they cannot be sharded (a request's lifecycle crosses
 // shards).  Instead each shard buffers everything it would have reported —
-// RdpObserver hooks, wired send records, wireless frame records — into a
+// protocol events, wired send records, wireless frame records — into a
 // thread-private ShardObserverBuffer, and at every window barrier the
 // ShardTapMerger drains all buffers, sorts each record class by a canonical
 // partition-invariant key, and replays the merged stream single-threaded
@@ -14,8 +14,8 @@
 // The sort keys never use the shard index as anything but a last-resort
 // tie-break, and the records that could collide up to that point are ones
 // whose relative order no consumer can distinguish:
-//   * hooks:  (time, entity tag, hook kind, secondary tag, shard, idx) —
-//     a single entity's hooks all originate on one shard (its home), so
+//   * events: (time, entity tag, kind rank, secondary tag, shard, idx) —
+//     a single entity's events all originate on one shard (its home), so
 //     same-entity streams are ordered by program order (idx);
 //   * wired:  (send time, link key, idx) — a link's sends all originate on
 //     the source node's shard;
@@ -23,9 +23,9 @@
 //     through `phase` are indistinguishable to the ledger (its wireless
 //     accounting is stateless across frames of different streams and
 //     additive within a purpose class).
-// Replay order within a barrier is wired, then frames, then hooks; metric
-// samples taken during hook replay therefore see byte counters that may run
-// ahead by at most one window.
+// Replay order within a barrier is wired, then frames, then events; metric
+// samples taken during event replay therefore see byte counters that may
+// run ahead by at most one window.
 #pragma once
 
 #include <cstdint>
@@ -35,20 +35,15 @@
 #include "core/events.h"
 #include "net/message.h"
 #include "net/wireless.h"
-#include "sim/callback.h"
 
 namespace rdp::obs {
 
 // One shard's buffered observations between two barriers.
 class ShardObserverBuffer final : public core::RdpObserver {
  public:
-  struct BufferedHook {
-    common::SimTime at;
-    std::uint64_t tag;   // primary entity (mh, or kMssTagBase | mss)
-    int kind;            // hook discriminator, in declaration order
-    std::uint64_t tag2;  // secondary entity / sequence discriminator
-    std::uint64_t idx;   // program order within this buffer
-    sim::SmallFn<void(core::RdpObserver&), 64> replay;
+  struct BufferedEvent {
+    core::Event event;
+    std::uint64_t idx;  // program order within this buffer
   };
   struct BufferedWiredSend {
     net::Envelope envelope;
@@ -68,6 +63,14 @@ class ShardObserverBuffer final : public core::RdpObserver {
   // 32-bit, so the spaces cannot collide).
   static constexpr std::uint64_t kMssTagBase = 1ull << 40;
 
+  // Everything the buffer records; the three membership-churn kinds
+  // (mss_departed / mss_rejoined / primary_demoted) are not buffered —
+  // sharded worlds do not run the ring-repair subsystem.
+  static constexpr std::uint32_t kMask =
+      kAllHooks & ~(core::hook_bit(core::Hook::kMssDeparted) |
+                    core::hook_bit(core::Hook::kMssRejoined) |
+                    core::hook_bit(core::Hook::kPrimaryDemoted));
+
   explicit ShardObserverBuffer(const sim::Simulator& simulator)
       : simulator_(simulator) {}
 
@@ -76,79 +79,18 @@ class ShardObserverBuffer final : public core::RdpObserver {
   void on_wireless_frame(common::MhId mh, const net::PayloadPtr& payload,
                          bool uplink, net::FramePhase phase);
 
-  // --- RdpObserver hooks ---------------------------------------------------
-  // Everything the buffer records; the three membership-churn hooks
-  // (mss_departed / mss_rejoined / primary_demoted) are not buffered —
-  // sharded worlds do not run the ring-repair subsystem.
-  [[nodiscard]] std::uint32_t hook_mask() const override {
-    using core::Hook;
-    using core::hook_bit;
-    return kAllHooks & ~(hook_bit(Hook::kMssDeparted) |
-                         hook_bit(Hook::kMssRejoined) |
-                         hook_bit(Hook::kPrimaryDemoted));
+  // --- RdpObserver ---------------------------------------------------------
+  [[nodiscard]] std::uint32_t hook_mask() const override { return kMask; }
+  void on_event(const core::Event& event) override {
+    if ((kMask & core::hook_bit(event.kind)) == 0) return;
+    events_.push_back(BufferedEvent{event, next_idx_++});
   }
-  void on_proxy_created(core::SimTime, common::MhId, common::NodeAddress,
-                        common::ProxyId) override;
-  void on_proxy_deleted(core::SimTime, common::MhId, common::NodeAddress,
-                        common::ProxyId, bool) override;
-  void on_request_issued(core::SimTime, common::MhId, common::RequestId,
-                         common::NodeAddress) override;
-  void on_request_reached_proxy(core::SimTime, common::MhId, common::RequestId,
-                                common::NodeAddress) override;
-  void on_result_at_proxy(core::SimTime, common::MhId, common::RequestId,
-                          std::uint32_t) override;
-  void on_result_forwarded(core::SimTime, common::MhId, common::RequestId,
-                           std::uint32_t, common::NodeAddress, std::uint32_t,
-                           bool) override;
-  void on_result_delivered(core::SimTime, common::MhId, common::RequestId,
-                           std::uint32_t, bool, bool, std::uint32_t) override;
-  void on_ack_forwarded(core::SimTime, common::MhId, common::RequestId,
-                        std::uint32_t, bool) override;
-  void on_request_completed(core::SimTime, common::MhId,
-                            common::RequestId) override;
-  void on_request_lost(core::SimTime, common::MhId, common::RequestId,
-                       core::RequestLossReason) override;
-  void on_handoff_started(core::SimTime, common::MhId, common::MssId,
-                          common::MssId) override;
-  void on_handoff_completed(core::SimTime, common::MhId, common::MssId,
-                            common::MssId, common::Duration,
-                            std::size_t) override;
-  void on_update_currentloc(core::SimTime, common::MhId, common::NodeAddress,
-                            common::NodeAddress) override;
-  void on_mh_registered(core::SimTime, common::MhId, common::MssId,
-                        common::Duration) override;
-  void on_stale_ack_dropped(core::SimTime, common::MhId,
-                            common::RequestId) override;
-  void on_delproxy_with_pending(core::SimTime, common::MhId,
-                                common::ProxyId) override;
-  void on_orphaned_proxy(core::SimTime, common::MhId,
-                         common::ProxyId) override;
-  void on_mss_crashed(core::SimTime, common::MssId, std::size_t,
-                      std::size_t) override;
-  void on_mss_restarted(core::SimTime, common::MssId, std::size_t) override;
-  void on_proxy_restored(core::SimTime, common::MhId, common::NodeAddress,
-                         common::ProxyId) override;
-  void on_request_reissued(core::SimTime, common::MhId, common::RequestId,
-                           int) override;
-  void on_backup_promoted(core::SimTime, common::MssId, common::MssId,
-                          std::size_t) override;
-  void on_reissue_exhausted(core::SimTime, common::MhId, common::RequestId,
-                            int) override;
-  void on_arq_frame_sent(core::SimTime, common::MhId, std::uint32_t,
-                         std::uint32_t, std::uint32_t, std::size_t,
-                         std::size_t) override;
-  void on_arq_delivered(core::SimTime, common::MhId, std::uint32_t,
-                        std::uint32_t, bool) override;
 
  private:
   friend class ShardTapMerger;
 
-  void push(common::SimTime at, std::uint64_t tag, int kind,
-            std::uint64_t tag2,
-            sim::SmallFn<void(core::RdpObserver&), 64> replay);
-
   const sim::Simulator& simulator_;
-  std::vector<BufferedHook> hooks_;
+  std::vector<BufferedEvent> events_;
   std::vector<BufferedWiredSend> wired_;
   std::vector<BufferedFrame> frames_;
   std::uint64_t next_idx_ = 0;
@@ -179,15 +121,15 @@ class ShardTapMerger {
  private:
   // The merge sorts these compact keys (copies of the sort fields plus the
   // record's position in its buffer) instead of moving the records
-  // themselves — a BufferedHook is ~100 bytes of mostly-inline lambda that
-  // the sort would otherwise shuffle repeatedly.  The key vectors are
-  // retained across flushes, so steady-state flushes allocate nothing.
+  // themselves — a BufferedEvent is ~100 bytes that the sort would
+  // otherwise shuffle repeatedly.  The key vectors are retained across
+  // flushes, so steady-state flushes allocate nothing.
   struct HookKey {
     common::SimTime at;
     std::uint64_t tag;
     std::uint64_t tag2;
     std::uint64_t idx;
-    std::int32_t kind;
+    std::int32_t rank;
     std::int32_t shard;
     std::uint32_t pos;
   };

@@ -74,7 +74,9 @@ class Telemetry {
   bool write_metrics_json(const std::string& path) const;
 
  private:
-  // Feeds the registry's sim-clock sampler from the event stream.
+  // Feeds the registry's sim-clock sampler from the event stream.  The
+  // mask fixes which kinds may close a sampling period, and so the sample
+  // rows a run exports.
   class EventTap final : public core::RdpObserver {
    public:
     explicit EventTap(MetricsRegistry& registry) : registry_(registry) {}
@@ -95,73 +97,8 @@ class Telemetry {
              hook_bit(Hook::kMhRegistered) | hook_bit(Hook::kMssCrashed) |
              hook_bit(Hook::kMssRestarted);
     }
-    void on_proxy_created(common::SimTime t, core::MhId, core::NodeAddress,
-                          core::ProxyId) override {
-      registry_.maybe_sample(t);
-    }
-    void on_proxy_deleted(common::SimTime t, core::MhId, core::NodeAddress,
-                          core::ProxyId, bool) override {
-      registry_.maybe_sample(t);
-    }
-    void on_request_issued(common::SimTime t, core::MhId, core::RequestId,
-                           core::NodeAddress) override {
-      registry_.maybe_sample(t);
-    }
-    void on_request_reached_proxy(common::SimTime t, core::MhId,
-                                  core::RequestId,
-                                  core::NodeAddress) override {
-      registry_.maybe_sample(t);
-    }
-    void on_result_at_proxy(common::SimTime t, core::MhId, core::RequestId,
-                            std::uint32_t) override {
-      registry_.maybe_sample(t);
-    }
-    void on_result_forwarded(common::SimTime t, core::MhId, core::RequestId,
-                             std::uint32_t, core::NodeAddress, std::uint32_t,
-                             bool) override {
-      registry_.maybe_sample(t);
-    }
-    void on_result_delivered(common::SimTime t, core::MhId, core::RequestId,
-                             std::uint32_t, bool, bool,
-                             std::uint32_t) override {
-      registry_.maybe_sample(t);
-    }
-    void on_ack_forwarded(common::SimTime t, core::MhId, core::RequestId,
-                          std::uint32_t, bool) override {
-      registry_.maybe_sample(t);
-    }
-    void on_request_completed(common::SimTime t, core::MhId,
-                              core::RequestId) override {
-      registry_.maybe_sample(t);
-    }
-    void on_request_lost(common::SimTime t, core::MhId, core::RequestId,
-                         core::RequestLossReason) override {
-      registry_.maybe_sample(t);
-    }
-    void on_handoff_started(common::SimTime t, core::MhId, core::MssId,
-                            core::MssId) override {
-      registry_.maybe_sample(t);
-    }
-    void on_handoff_completed(common::SimTime t, core::MhId, core::MssId,
-                              core::MssId, common::Duration,
-                              std::size_t) override {
-      registry_.maybe_sample(t);
-    }
-    void on_update_currentloc(common::SimTime t, core::MhId,
-                              core::NodeAddress, core::NodeAddress) override {
-      registry_.maybe_sample(t);
-    }
-    void on_mh_registered(common::SimTime t, core::MhId, core::MssId,
-                          common::Duration) override {
-      registry_.maybe_sample(t);
-    }
-    void on_mss_crashed(common::SimTime t, core::MssId, std::size_t,
-                        std::size_t) override {
-      registry_.maybe_sample(t);
-    }
-    void on_mss_restarted(common::SimTime t, core::MssId,
-                          std::size_t) override {
-      registry_.maybe_sample(t);
+    void on_event(const core::Event& event) override {
+      registry_.maybe_sample(event.at);
     }
 
    private:

@@ -87,8 +87,10 @@ void MembershipService::depart(common::MssId mss) {
   recompute_chains();
   count("membership.rerings");
   broadcast(mss, core::MembershipEventKind::kDeparted);
-  runtime_.observer.on_mss_departed(runtime_.simulator.now(), mss,
-                                    runtime_.directory.membership_epoch());
+  runtime_.observer.on_event({.kind = core::Hook::kMssDeparted,
+                              .at = runtime_.simulator.now(),
+                              .id_a = mss.value(),
+                              .epoch = runtime_.directory.membership_epoch()});
 }
 
 void MembershipService::rejoin(common::MssId mss) {
@@ -98,8 +100,10 @@ void MembershipService::rejoin(common::MssId mss) {
   recompute_chains();
   count("membership.rerings");
   broadcast(mss, core::MembershipEventKind::kRejoined);
-  runtime_.observer.on_mss_rejoined(runtime_.simulator.now(), mss,
-                                    runtime_.directory.membership_epoch());
+  runtime_.observer.on_event({.kind = core::Hook::kMssRejoined,
+                              .at = runtime_.simulator.now(),
+                              .id_a = mss.value(),
+                              .epoch = runtime_.directory.membership_epoch()});
 }
 
 // ---------------------------------------------------------------------------

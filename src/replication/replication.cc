@@ -237,8 +237,10 @@ void Replicator::maybe_demote() {
   if (dropped > 0) {
     ++demotions_;
     count("repl.primary_demotions");
-    runtime_.observer.on_primary_demoted(runtime_.simulator.now(), mss_.id(),
-                                         dropped);
+    runtime_.observer.on_event({.kind = core::Hook::kPrimaryDemoted,
+                                .at = runtime_.simulator.now(),
+                                .id_a = mss_.id().value(),
+                                .count_a = dropped});
   }
   // Ask to re-enter the ring; the service rejoins us (departed -> live) and
   // the resulting ring repair re-replicates whatever we host afterwards.
@@ -664,8 +666,11 @@ void Replicator::promote(common::MssId primary) {
   }
   ++promotions_;
   count("repl.promotions");
-  runtime_.observer.on_backup_promoted(runtime_.simulator.now(), primary,
-                                       mss_.id(), adopted);
+  runtime_.observer.on_event({.kind = core::Hook::kBackupPromoted,
+                              .at = runtime_.simulator.now(),
+                              .id_a = primary.value(),
+                              .id_b = mss_.id().value(),
+                              .count_a = adopted});
   arm_resolve_check();
 }
 

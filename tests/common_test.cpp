@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/ids.h"
 #include "common/log.h"
@@ -256,41 +255,6 @@ TEST(Logger, InjectedClockStampsLines) {
   EXPECT_EQ(lines[0], "[t=1.500ms] hello");
   EXPECT_EQ(lines[1], "[t=2000.000ms] later");
   EXPECT_EQ(lines[2], "plain");
-}
-
-TEST(BumpArena, EpochResetReusesBlocksDeterministically) {
-  // After the first epoch grows the chain to its high-water mark, every
-  // later epoch with the same allocation pattern returns the same
-  // addresses from the same blocks — no system allocation, no
-  // address-dependent divergence between epochs.
-  BumpArena arena(256);
-  std::vector<void*> first;
-  for (int i = 0; i < 64; ++i) first.push_back(arena.allocate(48, 16));
-  const std::size_t blocks = arena.blocks();
-  const std::size_t reserved = arena.bytes_reserved();
-  EXPECT_GT(blocks, 1u);  // pattern spans several 256-byte blocks
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    arena.reset();
-    std::vector<void*> again;
-    for (int i = 0; i < 64; ++i) again.push_back(arena.allocate(48, 16));
-    EXPECT_EQ(again, first);
-    EXPECT_EQ(arena.blocks(), blocks);
-    EXPECT_EQ(arena.bytes_reserved(), reserved);
-  }
-}
-
-TEST(BumpArena, AlignsAndHandlesOversizeRequests) {
-  BumpArena arena(128);
-  void* a = arena.allocate(1, 64);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
-  // Larger than the block size: gets a dedicated block, reused on reset.
-  void* big = arena.allocate(1000);
-  EXPECT_NE(big, nullptr);
-  const std::size_t blocks = arena.blocks();
-  arena.reset();
-  arena.allocate(1, 64);
-  EXPECT_EQ(arena.allocate(1000), big);
-  EXPECT_EQ(arena.blocks(), blocks);
 }
 
 TEST(PoolAlloc, RecyclesBlocksThroughTheMagazine) {
