@@ -541,6 +541,78 @@ TEST(CoreCodec, TruncationSweepAllMessages) {
   }
 }
 
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t byte : bytes) {
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xF];
+  }
+  return out;
+}
+
+// The exact bytes of every exemplar.  Round trips cannot see a field
+// reorder applied to encode and decode alike; this table can.  A change
+// here is a wire-format change.
+TEST(CoreCodec, GoldenBytesAllMessages) {
+  static const char* const kGolden[] = {
+      "01",  // join
+      "02",  // leave
+      "0309000000",  // greet
+      "0403000000110000000400000004000000626f647901",  // request
+      "050300000011000000",  // unsubscribe
+      "06030000001100000005000000",  // ack
+      "0702000000",  // registrationAck
+      "080300000011000000030000000106000000726573756c7407000000",  // result
+      // forwardRequest
+      "090200000005000000030000001100000006000000010000007100",
+      "0a02000000050000000300000011000000",  // forwardUnsubscribe
+      "0b01000000050000000300000011000000010000007101",  // serverRequest
+      "0c050000000300000011000000",  // serverUnsubscribe
+      // serverResult
+      "0d0500000003000000110000000400000000070000007061727469616c",
+      "0e0300000011000000",  // serverAck
+      // resultForward
+      "0f01000000020000000300000003000000110000000500000001010700000070"
+      "61796c6f616406000000",
+      "10010000000200000003000000030000001100000005000000",  // delPref
+      "11010000000200000003000000110000000400000001",  // ackForward
+      "120400000001000000",  // dereg
+      "1304000000030000000c00000001030000001100000002000000",  // deregAck
+      "14010000000200000003000000",  // update_currentLoc
+      "15010000000200000003000000110000000400000001000000620100",  // proxyGone
+      "16010000000200000003000000",  // prefRestore
+      // replicaUpdate
+      "17010000002a0000000000000007000000030000000b00000001000000030000"
+      "0011000000020000000500000071756572790100010000000500000000070000"
+      "007061727469616c02000000",
+      "1802000000070000000000000009000000",  // replicaErase
+      "1903000000",  // replicaHeartbeat
+      "1a01000000",  // replicaResync
+      "1b0500000001000000020000000300000004000000",  // prefRepair
+      "1c0500000004000000",  // prefRepairNack
+      "1d060000000200000007000000",  // transferResume
+      // arqData
+      "1e05000000090000000200000017000000040300000011000000040000000500"
+      "0000717565727901",
+      "1f03000000290000000df0fecaefbeadde",  // arqAck
+      "2001000000630000000000000003000000",  // chainAck
+      "21020000000500000000000000110000000000000000",  // replicaFence
+      "2202000000050000000000000000000000",  // replicaFenceAck
+      "230200000007000000010300000000000000",  // membershipEvent
+      "24010000000200000000",  // membershipReport
+      "2505000000",  // membershipProbe
+      "26040000000600000000000000",  // primaryFence
+  };
+  const std::vector<std::vector<std::uint8_t>> buffers =
+      all_message_exemplars();
+  ASSERT_EQ(buffers.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < buffers.size(); ++i) {
+    EXPECT_EQ(to_hex(buffers[i]), kGolden[i])
+        << "tag " << static_cast<int>(buffers[i][0]);
+  }
+}
+
 // Flip every byte of every encoded message through a handful of values.
 // A corrupt buffer may still decode (many field mutations are legal) but
 // must either decode or throw CodecError — nothing else, and no UB, which
