@@ -1,6 +1,5 @@
 #include "analyzer/wire_tap.h"
 
-#include "common/check.h"
 #include "core/codec.h"
 #include "obs/perf_probe.h"
 
@@ -22,22 +21,16 @@ void WireTap::attach(net::WirelessChannel& wireless,
 
 bool WireTap::encode_for_tap(const net::PayloadPtr& payload,
                              std::vector<std::uint8_t>& out) const {
-  try {
-    out = core::encode(*payload);
-    return true;
-  } catch (const common::InvariantViolation&) {
-    // Not a core message (e.g. a causal-order wrapper): peel one layer
-    // and retry.  ARQ frames encode directly above, so the §11 header is
-    // never lost here.
-    const net::MessageBase& inner = payload->unwrap();
-    if (&inner == payload.get()) return false;
-    try {
-      out = core::encode(inner);
-      return true;
-    } catch (const common::InvariantViolation&) {
-      return false;
-    }
+  // A payload outside the core codec (e.g. a causal-order wrapper) is
+  // peeled once.  ARQ frames are core messages, so the §11 header is never
+  // lost here.
+  const net::MessageBase* layer = payload.get();
+  if (!core::is_core_message(*layer)) {
+    layer = &payload->unwrap();
+    if (!core::is_core_message(*layer)) return false;
   }
+  out = core::encode(*layer);
+  return true;
 }
 
 void WireTap::on_wired_send(const net::Envelope& envelope) {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -33,6 +34,10 @@ struct ProxyCheckpoint {
     bool final = false;
     std::string body;
     std::uint32_t attempts = 0;
+
+    [[nodiscard]] auto fields() const {
+      return std::tie(seq, final, body, attempts);
+    }
   };
   struct Request {
     common::RequestId request;
@@ -41,6 +46,11 @@ struct ProxyCheckpoint {
     bool stream = false;
     bool del_pref_announced = false;
     std::vector<Result> unacked;
+
+    [[nodiscard]] auto fields() const {
+      return std::tie(request, server, body, stream, del_pref_announced,
+                      unacked);
+    }
   };
 
   common::ProxyId proxy;
@@ -48,9 +58,15 @@ struct ProxyCheckpoint {
   common::NodeAddress current_loc;
   std::vector<Request> requests;
 
-  // Exact encoded size (defined with the codec): the record is run through
-  // the real wire encoding, so bytes_written() and replication-traffic
-  // accounting agree with what a socket deployment would ship.
+  // Wire layout, as for the messages (core/messages.h): a vector travels as
+  // a u32 count followed by its elements.
+  [[nodiscard]] auto fields() const {
+    return std::tie(proxy, mh, current_loc, requests);
+  }
+
+  // Exact encoded size (defined with the codec): a size-only walk over
+  // fields(), so bytes_written() and replication-traffic accounting agree
+  // with what a socket deployment would ship.
   [[nodiscard]] std::size_t wire_size() const;
 };
 

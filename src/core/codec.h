@@ -2,8 +2,10 @@
 //
 // The simulator moves messages by reference; this codec is what a
 // socket-based deployment of the same protocol engines would put on the
-// wire.  Format: one type-tag byte, then the message fields in declaration
-// order (little-endian, length-prefixed strings).
+// wire.  Format: one type-tag byte, then the members the message's fields()
+// lists (core/messages.h), in that order: little-endian integers, one-byte
+// bools and kinds, length-prefixed strings, a u32 count before a vector's
+// elements, and an arqData frame's inner message as a nested encoding.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +59,9 @@ enum class MessageTag : std::uint8_t {
   kMembershipProbe = 37,
   kPrimaryFence = 38,
 };
+
+// True when `message`'s type has a MessageTag, i.e. is a core message.
+[[nodiscard]] bool is_core_message(const net::MessageBase& message);
 
 // Encodes any core message.  Throws common::InvariantViolation for message
 // types outside the core protocol (e.g. baseline messages).

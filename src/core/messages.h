@@ -5,10 +5,17 @@
 // Naming follows the paper: greet/dereg/deregAck (hand-off, §3.2),
 // update_currentLoc (§3.1), result forwarding with the del-pref flag and
 // Ack forwarding with the del-proxy flag (§3.3).
+//
+// Each message's fields() is its wire layout, declared once: its encoded
+// members in wire order, which is also member order and constructor order.
+// core/codec.cc walks it to encode, decode and size the message; adding a
+// message takes its struct, its fields() and one row in the codec's tag
+// table.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "common/ids.h"
 #include "core/checkpoint.h"
@@ -52,6 +59,10 @@ struct Pref {
     rkpr_seq = 0;
   }
 
+  [[nodiscard]] auto fields() const {
+    return std::tie(proxy_host, proxy, rkpr, rkpr_request, rkpr_seq);
+  }
+
   // Encoded size: host address + proxy id + flag + request id + seq.
   [[nodiscard]] static constexpr std::size_t wire_size() { return 28; }
 };
@@ -64,6 +75,7 @@ struct Pref {
 // sends a join message to the Mss in charge for the cell it is currently
 // in."
 struct MsgJoin final : net::MessageBase {
+  [[nodiscard]] auto fields() const { return std::tie(); }
   [[nodiscard]] const char* name() const override { return "join"; }
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
@@ -71,6 +83,7 @@ struct MsgJoin final : net::MessageBase {
 // Departure (§2): only legal once every received message was acknowledged
 // (assumption 6).
 struct MsgLeave final : net::MessageBase {
+  [[nodiscard]] auto fields() const { return std::tie(); }
   [[nodiscard]] const char* name() const override { return "leave"; }
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
@@ -83,6 +96,7 @@ struct MsgGreet final : net::MessageBase {
   MssId old_mss;
 
   explicit MsgGreet(MssId old_mss_in) : old_mss(old_mss_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(old_mss); }
   [[nodiscard]] const char* name() const override { return "greet"; }
   [[nodiscard]] std::size_t wire_size() const override { return 20; }
   [[nodiscard]] std::string describe() const override {
@@ -105,6 +119,9 @@ struct MsgUplinkRequest final : net::MessageBase {
         server(server_in),
         body(std::move(body_in)),
         stream(stream_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(request, server, body, stream);
+  }
   [[nodiscard]] const char* name() const override { return "request"; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 32 + body.size();
@@ -119,6 +136,7 @@ struct MsgUnsubscribe final : net::MessageBase {
   RequestId request;
 
   explicit MsgUnsubscribe(RequestId request_in) : request(request_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(request); }
   [[nodiscard]] const char* name() const override { return "unsubscribe"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
@@ -131,6 +149,7 @@ struct MsgUplinkAck final : net::MessageBase {
 
   MsgUplinkAck(RequestId request_in, std::uint32_t result_seq_in)
       : request(request_in), result_seq(result_seq_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(request, result_seq); }
   [[nodiscard]] const char* name() const override { return "ack"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
   [[nodiscard]] std::string describe() const override {
@@ -149,6 +168,7 @@ struct MsgRegistrationAck final : net::MessageBase {
   MssId mss;
 
   explicit MsgRegistrationAck(MssId mss_in) : mss(mss_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(mss); }
   [[nodiscard]] const char* name() const override { return "registrationAck"; }
   [[nodiscard]] std::size_t wire_size() const override { return 20; }
 };
@@ -170,6 +190,9 @@ struct MsgDownlinkResult final : net::MessageBase {
         final(final_in),
         body(std::move(body_in)),
         attempt(attempt_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(request, result_seq, final, body, attempt);
+  }
   [[nodiscard]] const char* name() const override { return "result"; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 32 + body.size();
@@ -207,6 +230,9 @@ struct MsgArqData final : net::MessageBase {
         seq(seq_in),
         attempt(attempt_in),
         inner(std::move(inner_in)) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(epoch, seq, attempt, inner);
+  }
   [[nodiscard]] const char* name() const override { return "arqData"; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + inner->wire_size();
@@ -234,6 +260,7 @@ struct MsgArqAck final : net::MessageBase {
   MsgArqAck(std::uint32_t epoch_in, std::uint32_t cum_next_in,
             std::uint64_t sack_in)
       : epoch(epoch_in), cum_next(cum_next_in), sack(sack_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(epoch, cum_next, sack); }
   [[nodiscard]] const char* name() const override { return "arqAck"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
   [[nodiscard]] std::string describe() const override {
@@ -265,6 +292,9 @@ struct MsgForwardRequest final : net::MessageBase {
         server(server_in),
         body(std::move(body_in)),
         stream(stream_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(mh, proxy, request, server, body, stream);
+  }
   [[nodiscard]] const char* name() const override { return "forwardRequest"; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 40 + body.size();
@@ -279,6 +309,7 @@ struct MsgForwardUnsubscribe final : net::MessageBase {
 
   MsgForwardUnsubscribe(MhId mh_in, ProxyId proxy_in, RequestId request_in)
       : mh(mh_in), proxy(proxy_in), request(request_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(mh, proxy, request); }
   [[nodiscard]] const char* name() const override {
     return "forwardUnsubscribe";
   }
@@ -302,6 +333,9 @@ struct MsgServerRequest final : net::MessageBase {
         request(request_in),
         body(std::move(body_in)),
         stream(stream_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(reply_to, proxy, request, body, stream);
+  }
   [[nodiscard]] const char* name() const override { return "serverRequest"; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 36 + body.size();
@@ -315,6 +349,7 @@ struct MsgServerUnsubscribe final : net::MessageBase {
 
   MsgServerUnsubscribe(ProxyId proxy_in, RequestId request_in)
       : proxy(proxy_in), request(request_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(proxy, request); }
   [[nodiscard]] const char* name() const override {
     return "serverUnsubscribe";
   }
@@ -338,6 +373,9 @@ struct MsgServerResult final : net::MessageBase {
         result_seq(result_seq_in),
         final(final_in),
         body(std::move(body_in)) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(proxy, request, result_seq, final, body);
+  }
   [[nodiscard]] const char* name() const override { return "serverResult"; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 36 + body.size();
@@ -351,6 +389,7 @@ struct MsgServerAck final : net::MessageBase {
   RequestId request;
 
   explicit MsgServerAck(RequestId request_in) : request(request_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(request); }
   [[nodiscard]] const char* name() const override { return "serverAck"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
@@ -382,6 +421,10 @@ struct MsgResultForward final : net::MessageBase {
         del_pref(del_pref_in),
         body(std::move(body_in)),
         attempt(attempt_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(mh, proxy_host, proxy, request, result_seq, final, del_pref,
+                    body, attempt);
+  }
   [[nodiscard]] const char* name() const override { return "resultForward"; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 48 + body.size();
@@ -409,6 +452,9 @@ struct MsgDelPref final : net::MessageBase {
         proxy(proxy_in),
         request(request_in),
         result_seq(result_seq_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(mh, proxy_host, proxy, request, result_seq);
+  }
   [[nodiscard]] const char* name() const override { return "delPref"; }
   [[nodiscard]] std::size_t wire_size() const override { return 32; }
 };
@@ -429,6 +475,9 @@ struct MsgAckForward final : net::MessageBase {
         request(request_in),
         result_seq(result_seq_in),
         del_proxy(del_proxy_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(mh, proxy, request, result_seq, del_proxy);
+  }
   [[nodiscard]] const char* name() const override { return "ackForward"; }
   [[nodiscard]] std::size_t wire_size() const override { return 32; }
   [[nodiscard]] std::string describe() const override {
@@ -444,6 +493,7 @@ struct MsgDereg final : net::MessageBase {
   MssId new_mss;
 
   MsgDereg(MhId mh_in, MssId new_mss_in) : mh(mh_in), new_mss(new_mss_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(mh, new_mss); }
   [[nodiscard]] const char* name() const override { return "dereg"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
   [[nodiscard]] std::string describe() const override {
@@ -460,6 +510,7 @@ struct MsgDeregAck final : net::MessageBase {
   Pref pref;
 
   MsgDeregAck(MhId mh_in, Pref pref_in) : mh(mh_in), pref(pref_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(mh, pref); }
   [[nodiscard]] const char* name() const override { return "deregAck"; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + Pref::wire_size();
@@ -481,6 +532,7 @@ struct MsgUpdateCurrentLoc final : net::MessageBase {
 
   MsgUpdateCurrentLoc(MhId mh_in, ProxyId proxy_in, NodeAddress new_loc_in)
       : mh(mh_in), proxy(proxy_in), new_loc(new_loc_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(mh, proxy, new_loc); }
   [[nodiscard]] const char* name() const override {
     return "update_currentLoc";
   }
@@ -504,6 +556,7 @@ struct MsgPrefRestore final : net::MessageBase {
 
   MsgPrefRestore(MhId mh_in, NodeAddress proxy_host_in, ProxyId proxy_in)
       : mh(mh_in), proxy_host(proxy_host_in), proxy(proxy_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(mh, proxy_host, proxy); }
   [[nodiscard]] const char* name() const override { return "prefRestore"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
@@ -531,6 +584,9 @@ struct MsgProxyGone final : net::MessageBase {
         body(std::move(body_in)),
         stream(stream_in),
         had_request(had_request_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(mh, proxy, request, server, body, stream, had_request);
+  }
   [[nodiscard]] const char* name() const override { return "proxyGone"; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 40 + body.size();
@@ -560,6 +616,7 @@ struct MsgReplicaUpdate final : net::MessageBase {
   MsgReplicaUpdate(MssId primary_in, std::uint64_t seq_in,
                    ProxyCheckpoint record_in)
       : primary(primary_in), seq(seq_in), record(std::move(record_in)) {}
+  [[nodiscard]] auto fields() const { return std::tie(primary, seq, record); }
   [[nodiscard]] const char* name() const override { return "replicaUpdate"; }
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + record.wire_size();
@@ -578,6 +635,7 @@ struct MsgReplicaErase final : net::MessageBase {
 
   MsgReplicaErase(MssId primary_in, std::uint64_t seq_in, ProxyId proxy_in)
       : primary(primary_in), seq(seq_in), proxy(proxy_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(primary, seq, proxy); }
   [[nodiscard]] const char* name() const override { return "replicaErase"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
@@ -588,6 +646,7 @@ struct MsgReplicaHeartbeat final : net::MessageBase {
   MssId primary;
 
   explicit MsgReplicaHeartbeat(MssId primary_in) : primary(primary_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(primary); }
   [[nodiscard]] const char* name() const override { return "replicaHeartbeat"; }
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
@@ -598,6 +657,7 @@ struct MsgReplicaResync final : net::MessageBase {
   MssId backup;
 
   explicit MsgReplicaResync(MssId backup_in) : backup(backup_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(backup); }
   [[nodiscard]] const char* name() const override { return "replicaResync"; }
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
@@ -618,6 +678,9 @@ struct MsgPrefRepair final : net::MessageBase {
         old_proxy(old_proxy_in),
         new_host(new_host_in),
         new_proxy(new_proxy_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(mh, old_host, old_proxy, new_host, new_proxy);
+  }
   [[nodiscard]] const char* name() const override { return "prefRepair"; }
   [[nodiscard]] std::size_t wire_size() const override { return 32; }
   [[nodiscard]] std::string describe() const override {
@@ -634,6 +697,7 @@ struct MsgPrefRepairNack final : net::MessageBase {
 
   MsgPrefRepairNack(MhId mh_in, ProxyId new_proxy_in)
       : mh(mh_in), new_proxy(new_proxy_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(mh, new_proxy); }
   [[nodiscard]] const char* name() const override { return "prefRepairNack"; }
   [[nodiscard]] std::size_t wire_size() const override { return 20; }
 };
@@ -651,6 +715,9 @@ struct MsgTransferResume final : net::MessageBase {
 
   MsgTransferResume(MhId mh_in, NodeAddress old_host_in, ProxyId old_proxy_in)
       : mh(mh_in), old_host(old_host_in), old_proxy(old_proxy_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(mh, old_host, old_proxy);
+  }
   [[nodiscard]] const char* name() const override { return "transferResume"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
   [[nodiscard]] std::string describe() const override {
@@ -680,6 +747,7 @@ struct MsgChainAck final : net::MessageBase {
 
   MsgChainAck(MssId primary_in, std::uint64_t seq_in, MssId member_in)
       : primary(primary_in), seq(seq_in), member(member_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(primary, seq, member); }
   [[nodiscard]] const char* name() const override { return "chainAck"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
@@ -702,6 +770,9 @@ struct MsgReplicaFence final : net::MessageBase {
         epoch(epoch_in),
         fence_seq(fence_seq_in),
         commit(commit_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(primary, epoch, fence_seq, commit);
+  }
   [[nodiscard]] const char* name() const override { return "replicaFence"; }
   [[nodiscard]] std::size_t wire_size() const override { return 32; }
   [[nodiscard]] std::string describe() const override {
@@ -719,6 +790,7 @@ struct MsgReplicaFenceAck final : net::MessageBase {
 
   MsgReplicaFenceAck(MssId primary_in, std::uint64_t epoch_in, MssId member_in)
       : primary(primary_in), epoch(epoch_in), member(member_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(primary, epoch, member); }
   [[nodiscard]] const char* name() const override { return "replicaFenceAck"; }
   [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
@@ -746,6 +818,9 @@ struct MsgMembershipEvent final : net::MessageBase {
         subject_address(subject_address_in),
         kind(kind_in),
         epoch(epoch_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(subject, subject_address, kind, epoch);
+  }
   [[nodiscard]] const char* name() const override { return "membershipEvent"; }
   [[nodiscard]] std::size_t wire_size() const override { return 28; }
   [[nodiscard]] std::string describe() const override {
@@ -775,6 +850,9 @@ struct MsgMembershipReport final : net::MessageBase {
   MsgMembershipReport(MssId reporter_in, MssId subject_in,
                       MembershipReportKind kind_in)
       : reporter(reporter_in), subject(subject_in), kind(kind_in) {}
+  [[nodiscard]] auto fields() const {
+    return std::tie(reporter, subject, kind);
+  }
   [[nodiscard]] const char* name() const override { return "membershipReport"; }
   [[nodiscard]] std::size_t wire_size() const override { return 20; }
 };
@@ -786,6 +864,7 @@ struct MsgMembershipProbe final : net::MessageBase {
   MssId subject;
 
   explicit MsgMembershipProbe(MssId subject_in) : subject(subject_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(subject); }
   [[nodiscard]] const char* name() const override { return "membershipProbe"; }
   [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
@@ -801,6 +880,7 @@ struct MsgPrimaryFence final : net::MessageBase {
 
   MsgPrimaryFence(MssId primary_in, std::uint64_t epoch_in)
       : primary(primary_in), epoch(epoch_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(primary, epoch); }
   [[nodiscard]] const char* name() const override { return "primaryFence"; }
   [[nodiscard]] std::size_t wire_size() const override { return 20; }
   [[nodiscard]] std::string describe() const override {
