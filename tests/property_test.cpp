@@ -106,7 +106,6 @@ TEST_P(RdpPropertyTest, InvariantsHold) {
   }
 
   const workload::CellTopology topology = workload::CellTopology::grid(3, 3);
-  auto mobility = make_mobility(param.mobility, topology, param.dwell);
   workload::WorkloadParams wl;
   wl.mean_request_interval = Duration::seconds(6);
   wl.travel_time = Duration::millis(200);
@@ -114,15 +113,18 @@ TEST_P(RdpPropertyTest, InvariantsHold) {
     wl.mean_active = Duration::seconds(50);
     wl.mean_inactive = Duration::seconds(8);
   }
+  // One model per driver: PingPongMobility keeps its home per instance.
+  std::vector<std::unique_ptr<workload::MobilityModel>> mobilities;
   std::vector<std::unique_ptr<workload::HostDriver<core::MobileHostAgent>>>
       drivers;
   std::vector<common::NodeAddress> servers{world.server_address(0),
                                            world.server_address(1)};
   for (int i = 0; i < config.num_mh; ++i) {
+    mobilities.push_back(make_mobility(param.mobility, topology, param.dwell));
     drivers.push_back(
         std::make_unique<workload::HostDriver<core::MobileHostAgent>>(
-            world.simulator(), world.mh(i), *mobility, world.rng().fork(), wl,
-            servers));
+            world.simulator(), world.mh(i), *mobilities.back(),
+            world.rng().fork(), wl, servers));
     drivers.back()->start();
   }
   world.run_for(Duration::seconds(400));

@@ -7,7 +7,9 @@
 //   * the group-multicast service (Fig 1's mcast operation).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 
 #include "harness/experiment.h"
 #include "harness/metrics.h"
@@ -206,6 +208,45 @@ TEST(RevisitRace, PingPongChurnIsHealedWithNoRequestLoss) {
     }
   }
   EXPECT_TRUE(race_observed) << "sweep never exercised the revisit race";
+}
+
+// The sweep above is only the revisit race if every Mh shuttles between
+// its own two cells.  PingPongMobility keeps its home/away pair per
+// instance, so each driver needs its own model: one shared by all drivers
+// moved every Mh between the last-started driver's pair.
+TEST(RevisitRace, EachPingPongMhRegistersWithAtMostTwoMss) {
+  struct Registrations final : core::RdpObserver {
+    std::map<MhId, std::set<common::MssId>> mss_by_mh;
+    std::uint32_t hook_mask() const override {
+      return core::hook_bit(core::Hook::kMhRegistered);
+    }
+
+   protected:
+    void on_mh_registered(common::SimTime, MhId mh, common::MssId mss,
+                          Duration) override {
+      mss_by_mh[mh].insert(mss);
+    }
+  };
+  Registrations registrations;
+  harness::ExperimentParams params;
+  params.seed = 1301;  // the first seed of the sweep above
+  params.num_mh = 10;
+  params.sim_time = Duration::seconds(400);
+  params.mobility = harness::MobilityKind::kPingPong;
+  params.mean_dwell = Duration::seconds(3);
+  params.mean_request_interval = Duration::seconds(5);
+  params.service_time = Duration::millis(500);
+  params.service_jitter = Duration::millis(1500);
+  params.rdp_world_hook =
+      [&registrations](harness::World& world) -> std::shared_ptr<void> {
+    world.observers().add(&registrations);
+    return nullptr;
+  };
+  (void)harness::run_rdp_experiment(params);
+  ASSERT_EQ(registrations.mss_by_mh.size(), 10u);
+  for (const auto& [mh, mss] : registrations.mss_by_mh) {
+    EXPECT_LE(mss.size(), 2u) << mh;
+  }
 }
 
 TEST(RevisitRace, PaperFormulationTripsMoreAnomalies) {
