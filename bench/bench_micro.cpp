@@ -38,7 +38,6 @@
 #include "analyzer/wire_tap.h"
 #include "bench/bench_util.h"
 #include "causal/causal_layer.h"
-#include "causal/vector_clock.h"
 #include "common/pool_alloc.h"
 #include "core/messages.h"
 #include "harness/experiment.h"
@@ -345,20 +344,6 @@ void BM_CausalLayerCampus(benchmark::State& state) {
   state.SetLabel("64 Mss on an 8x8 grid + 2 servers");
 }
 BENCHMARK(BM_CausalLayerCampus);
-
-void BM_VectorClockMerge(benchmark::State& state) {
-  causal::VectorClock a(64), b(64);
-  for (int i = 0; i < 64; ++i) {
-    a.tick(static_cast<std::size_t>(i));
-    if (i % 2 == 0) b.tick(static_cast<std::size_t>(i));
-  }
-  for (auto _ : state) {
-    causal::VectorClock c = a;
-    c.merge(b);
-    benchmark::DoNotOptimize(c);
-  }
-}
-BENCHMARK(BM_VectorClockMerge);
 
 // One complete request round trip (register, relay, serve, forward,
 // deliver, ack, teardown) through the full stack.

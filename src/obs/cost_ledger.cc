@@ -414,30 +414,6 @@ CostSummary CostLedger::summary() const {
   return summary;
 }
 
-stats::Table CostLedger::purpose_table() const {
-  const CostSummary s = summary();
-  stats::Table table({"class", "wired frames", "wired bytes", "wless frames",
-                      "wless bytes", "wless share", "energy"});
-  for (int c = 0; c < kPurposeClassCount; ++c) {
-    const CostSummary::ClassRow& row = s.by_class[c];
-    if (row.wired_frames == 0 && row.wireless_frames == 0) continue;
-    const auto purpose = static_cast<PurposeClass>(c);
-    table.add_row({purpose_class_name(purpose),
-                   stats::Table::fmt(row.wired_frames),
-                   stats::Table::fmt(row.wired_bytes),
-                   stats::Table::fmt(row.wireless_frames),
-                   stats::Table::fmt(row.wireless_bytes),
-                   stats::Table::fmt(100.0 * s.wireless_share(purpose), 2) + "%",
-                   stats::Table::fmt(row.energy, 1)});
-  }
-  table.add_row({"total", stats::Table::fmt(s.wired_frames),
-                 stats::Table::fmt(s.wired_bytes),
-                 stats::Table::fmt(s.wireless_frames),
-                 stats::Table::fmt(s.wireless_bytes), "100.00%",
-                 stats::Table::fmt(s.energy_total, 1)});
-  return table;
-}
-
 stats::Table CostLedger::message_table() const {
   stats::Table table({"link", "class", "message", "frames", "bytes"});
   const std::vector<const NameRow*> rows = rows_by_name();

@@ -176,8 +176,6 @@ class CostLedger {
   [[nodiscard]] CostSummary summary() const;
 
   // --- rendering / export --------------------------------------------------
-  // §5-style overhead table: one row per non-empty purpose class + total.
-  [[nodiscard]] stats::Table purpose_table() const;
   // Message-level detail: one row per (link, class, message).
   [[nodiscard]] stats::Table message_table() const;
 

@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "causal/causal_layer.h"
-#include "causal/vector_clock.h"
 #include "common/rng.h"
 #include "net/wired.h"
 #include "sim/simulator.h"
+#include "tests/vector_clock.h"
 
 namespace rdp::causal {
 namespace {

@@ -1,10 +1,10 @@
 // Shared helpers for protocol-level tests: a deterministic world config and
-// the milestone string trace (now provided by obs::MilestoneTrace).
+// the milestone string trace (tests/milestone_trace.h).
 #pragma once
 
 #include "harness/metrics.h"
 #include "harness/world.h"
-#include "obs/milestone_trace.h"
+#include "tests/milestone_trace.h"
 
 namespace rdp::testutil {
 
@@ -37,8 +37,6 @@ inline common::NodeAddress add_server_with_service_time(
 }
 
 // Records protocol milestones as strings like "forward#1->Node2+delpref".
-// The renderer itself lives in src/obs so tests and benches share one
-// implementation; this alias keeps existing test spellings working.
-using TraceObserver = obs::MilestoneTrace;
+using TraceObserver = MilestoneTrace;
 
 }  // namespace rdp::testutil
