@@ -1,5 +1,6 @@
 #include "obs/invariant_auditor.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -35,16 +36,63 @@ void InvariantAuditor::violate(common::SimTime at, const std::string& what) {
   }
 }
 
+std::pair<std::uint32_t, bool> InvariantAuditor::request_book(
+    core::RequestId r) {
+  auto [index, inserted] = request_index_.try_emplace(r.packed());
+  if (inserted) {
+    *index = static_cast<std::uint32_t>(requests_.size());
+    const std::uint32_t mh = mh_book(r.mh());
+    RequestBook& book = requests_.emplace_back();
+    book.id = r;
+    book.mh_book = mh;
+  }
+  return {*index, inserted};
+}
+
+std::uint32_t InvariantAuditor::mh_book(core::MhId mh) {
+  auto [index, inserted] = mh_index_.try_emplace(mh.value());
+  if (inserted) {
+    *index = static_cast<std::uint32_t>(mh_books_.size());
+    mh_books_.emplace_back();
+  }
+  return *index;
+}
+
+void InvariantAuditor::list_open(std::uint32_t request) {
+  const std::uint32_t seq = requests_[request].id.seq();
+  std::vector<std::uint32_t>& open = mh_books_[requests_[request].mh_book].open;
+  auto at = open.end();
+  while (at != open.begin() && requests_[*(at - 1)].id.seq() > seq) --at;
+  open.insert(at, request);
+}
+
+void InvariantAuditor::unlist_open(std::uint32_t request) {
+  std::erase(mh_books_[requests_[request].mh_book].open, request);
+}
+
+void InvariantAuditor::forget_host(core::NodeAddress host) {
+  const auto at_host = [host](ProxyRef proxy) { return proxy.host == host; };
+  for (MhBook& book : mh_books_) std::erase_if(book.live, at_host);
+}
+
+void InvariantAuditor::add_live_proxy(common::SimTime t, core::MhId mh,
+                                      core::NodeAddress host, core::ProxyId p,
+                                      const char* how) {
+  std::vector<ProxyRef>& live = mh_books_[mh_book(mh)].live;
+  if (std::find(live.begin(), live.end(), ProxyRef{host, p}) == live.end()) {
+    live.push_back({host, p});
+  }
+  if (live.size() > 1 && !config_.allow_proxy_coexistence) {
+    violate(t, "R1 " + mh.str() + " has " + std::to_string(live.size()) +
+                   " live proxies after " + p.str() + " " + how + " at " +
+                   host.str());
+  }
+}
+
 void InvariantAuditor::on_proxy_created(common::SimTime t, core::MhId mh,
                                         core::NodeAddress host,
                                         core::ProxyId p) {
-  auto& live = live_proxies_[mh];
-  live.insert(host);
-  if (live.size() > 1 && !config_.allow_proxy_coexistence) {
-    violate(t, "R1 " + mh.str() + " has " + std::to_string(live.size()) +
-                   " live proxies after " + p.str() + " created at " +
-                   host.str());
-  }
+  add_live_proxy(t, mh, host, p, "created");
 }
 
 void InvariantAuditor::on_ack_forwarded(common::SimTime, core::MhId mh,
@@ -56,18 +104,17 @@ void InvariantAuditor::on_ack_forwarded(common::SimTime, core::MhId mh,
   // fires only when the order lands one wire latency later.  A fast-moving
   // Mh can issue its next request (and get a new proxy) inside that window,
   // so the old incarnation stops counting against R1 now.
-  auto it = live_proxies_.find(mh);
-  if (it == live_proxies_.end()) return;
-  auto& closing = closing_proxies_[mh];
-  closing.insert(it->second.begin(), it->second.end());
-  it->second.clear();
+  const std::uint32_t* index = mh_index_.find(mh.value());
+  if (index != nullptr) mh_books_[*index].live.clear();
 }
 
 void InvariantAuditor::on_proxy_deleted(common::SimTime t, core::MhId mh,
                                         core::NodeAddress host, core::ProxyId p,
                                         bool via_gc) {
-  live_proxies_[mh].erase(host);
-  closing_proxies_[mh].erase(host);
+  const std::uint32_t* index = mh_index_.find(mh.value());
+  if (index == nullptr) return;
+  MhBook& book = mh_books_[*index];
+  std::erase(book.live, ProxyRef{host, p});
   if (via_gc || config_.allow_delproxy_with_pending) return;
   // R4: a del-proxy teardown must not discard pending requests.  GC'd
   // abandoned proxies report their pending requests lost *before* the
@@ -75,13 +122,10 @@ void InvariantAuditor::on_proxy_deleted(common::SimTime t, core::MhId mh,
   // Only requests bound to *this* host count: a revisit-pattern Mh's newest
   // request may already be pending at a fresh proxy while the drained old
   // one is torn down.
-  for (auto it = requests_.lower_bound(core::RequestId(mh, 0));
-       it != requests_.end() && it->first.mh() == mh; ++it) {
-    const RequestBook& book = it->second;
-    if (book.reached_proxy && book.proxy_host == host && !book.completed &&
-        !book.lost) {
-      violate(t, "R4 " + p.str() + " deleted while " + it->first.str() +
-                     " still pending");
+  for (const std::uint32_t request : book.open) {
+    if (requests_[request].proxy_host == host) {
+      violate(t, "R4 " + p.str() + " deleted while " +
+                     requests_[request].id.str() + " still pending");
     }
   }
 }
@@ -90,35 +134,36 @@ void InvariantAuditor::on_request_issued(common::SimTime, core::MhId,
                                          core::RequestId r,
                                          core::NodeAddress) {
   // Re-issue of a lost request lands here again; keep the original book.
-  auto [it, inserted] = requests_.try_emplace(r);
-  if (inserted) ++issued_;
-  (void)it;
+  if (request_book(r).second) ++issued_;
 }
 
 void InvariantAuditor::on_request_reached_proxy(common::SimTime t, core::MhId,
                                                 core::RequestId r,
                                                 core::NodeAddress host) {
-  auto it = requests_.find(r);
-  if (it == requests_.end()) {
+  const std::uint32_t* index = request_index_.find(r.packed());
+  if (index == nullptr) {
     violate(t, "R2 " + r.str() + " reached a proxy but was never issued");
     return;
   }
-  it->second.reached_proxy = true;
+  RequestBook& book = requests_[*index];
+  const bool was_open = book.open();
+  book.reached_proxy = true;
   // Latest binding wins: a re-issued or re-forwarded request is served by
   // whichever proxy saw it last.
-  it->second.proxy_host = host;
+  book.proxy_host = host;
+  if (!was_open && book.open()) list_open(*index);
 }
 
 void InvariantAuditor::on_result_at_proxy(common::SimTime t, core::MhId,
                                           core::RequestId r,
                                           std::uint32_t seq) {
-  auto it = requests_.find(r);
-  if (it == requests_.end()) {
+  const std::uint32_t* index = request_index_.find(r.packed());
+  if (index == nullptr) {
     violate(t, "R2 result (seq " + std::to_string(seq) + ") at proxy for " +
                    r.str() + " which was never issued");
     return;
   }
-  RequestBook& book = it->second;
+  RequestBook& book = requests_[*index];
   if (book.any_seq_at_proxy && seq <= book.max_seq_at_proxy &&
       !config_.allow_result_reordering) {
     violate(t, "R3 " + r.str() + " result seq " + std::to_string(seq) +
@@ -133,13 +178,13 @@ void InvariantAuditor::on_result_delivered(common::SimTime t, core::MhId mh,
                                            core::RequestId r, std::uint32_t seq,
                                            bool final, bool duplicate,
                                            std::uint32_t) {
-  auto it = requests_.find(r);
-  if (it == requests_.end()) {
+  const std::uint32_t* index = request_index_.find(r.packed());
+  if (index == nullptr) {
     violate(t, "R2 result (seq " + std::to_string(seq) + ") delivered to " +
                    mh.str() + " for " + r.str() + " which was never issued");
     return;
   }
-  RequestBook& book = it->second;
+  RequestBook& book = requests_[*index];
   book.delivered_any = true;
   if (final && !duplicate) {
     if (book.final_delivered) {
@@ -156,16 +201,17 @@ void InvariantAuditor::on_result_delivered(common::SimTime t, core::MhId mh,
 
 void InvariantAuditor::on_request_completed(common::SimTime t, core::MhId,
                                             core::RequestId r) {
-  auto it = requests_.find(r);
-  if (it == requests_.end()) {
+  const std::uint32_t* index = request_index_.find(r.packed());
+  if (index == nullptr) {
     violate(t, "R2 " + r.str() + " completed but was never issued");
     return;
   }
-  RequestBook& book = it->second;
+  RequestBook& book = requests_[*index];
   if (!book.delivered_any) {
     violate(t, "R6 " + r.str() +
                    " completed at the proxy before any delivery to the Mh");
   }
+  if (book.open()) unlist_open(*index);
   book.completed = true;
 }
 
@@ -175,11 +221,12 @@ void InvariantAuditor::on_request_lost(common::SimTime, core::MhId,
   // Loss is never an online violation: pre-proxy drops during hand-off are
   // §4's "deferred to QRPC" case, and ablations lose requests by design.
   // The books only record it for check_quiesced().
-  RequestBook& book = requests_[r];
-  if (!book.lost) {
-    book.lost = true;
-    ++lost_;
-  }
+  const std::uint32_t index = request_book(r).first;
+  RequestBook& book = requests_[index];
+  if (book.lost) return;
+  if (book.open()) unlist_open(index);
+  book.lost = true;
+  ++lost_;
 }
 
 void InvariantAuditor::on_delproxy_with_pending(common::SimTime, core::MhId,
@@ -205,9 +252,7 @@ void InvariantAuditor::on_mss_crashed(common::SimTime, core::MssId mss,
   // deletion events; drop them from the live set so a post-crash re-create
   // does not look like coexistence.
   if (directory_ == nullptr) return;
-  const core::NodeAddress host = directory_->mss_address(mss);
-  for (auto& [mh, live] : live_proxies_) live.erase(host);
-  for (auto& [mh, closing] : closing_proxies_) closing.erase(host);
+  forget_host(directory_->mss_address(mss));
 }
 
 void InvariantAuditor::on_mss_restarted(common::SimTime, core::MssId mss,
@@ -231,13 +276,7 @@ void InvariantAuditor::on_mss_rejoined(common::SimTime, core::MssId mss,
 void InvariantAuditor::on_proxy_restored(common::SimTime t, core::MhId mh,
                                          core::NodeAddress host,
                                          core::ProxyId p) {
-  auto& live = live_proxies_[mh];
-  live.insert(host);
-  if (live.size() > 1 && !config_.allow_proxy_coexistence) {
-    violate(t, "R1 " + mh.str() + " has " + std::to_string(live.size()) +
-                   " live proxies after " + p.str() + " restored at " +
-                   host.str());
-  }
+  add_live_proxy(t, mh, host, p, "restored");
 }
 
 void InvariantAuditor::on_backup_promoted(common::SimTime t,
@@ -259,13 +298,11 @@ void InvariantAuditor::on_backup_promoted(common::SimTime t,
   promoter_of_[primary] = backup;
   // Promotion re-homes the dead primary's proxies at the backup; the
   // adopted incarnations arrive as on_proxy_restored events.  The primary's
-  // entries were already dropped from the live/closing sets at crash time,
+  // entries were already dropped from the live books at crash time,
   // but a promotion can also follow a *resync-rebuilt* shadow whose crash
   // predates this auditor, so clear them again defensively.
   if (directory_ == nullptr) return;
-  const core::NodeAddress host = directory_->mss_address(primary);
-  for (auto& [mh, live] : live_proxies_) live.erase(host);
-  for (auto& [mh, closing] : closing_proxies_) closing.erase(host);
+  forget_host(directory_->mss_address(primary));
 }
 
 void InvariantAuditor::on_arq_frame_sent(common::SimTime t, core::MhId mh,
@@ -288,7 +325,13 @@ void InvariantAuditor::on_arq_delivered(common::SimTime t, core::MhId mh,
                                         bool duplicate) {
   if (duplicate) return;  // dropped before the protocol, by design
   // A1: per (Mh, epoch) the receiver releases 0, 1, 2, ... exactly once.
-  std::uint32_t& next = arq_next_[{mh, epoch}];
+  // The current epoch is almost always the newest, so search from the back.
+  auto& frontiers = mh_books_[mh_book(mh)].arq_next;
+  auto it = std::find_if(frontiers.rbegin(), frontiers.rend(),
+                         [epoch](const auto& f) { return f.first == epoch; });
+  std::uint32_t& next = it != frontiers.rend()
+                            ? it->second
+                            : frontiers.emplace_back(epoch, 0).second;
   if (seq < next) {
     // A re-release below the frontier: report it but leave the frontier
     // alone, or every subsequent in-order delivery would cascade.
@@ -307,14 +350,17 @@ void InvariantAuditor::on_arq_delivered(common::SimTime t, core::MhId mh,
 }
 
 bool InvariantAuditor::check_quiesced() {
-  bool balanced = true;
-  for (const auto& [request, book] : requests_) {
-    if (!book.final_delivered && !book.lost) {
-      balanced = false;
-      violations_.push_back("quiesce: " + request.str() +
-                            " neither delivered nor lost");
-    }
+  // Books are in first-event order; the report lists stragglers by id.
+  std::vector<core::RequestId> stragglers;
+  for (const RequestBook& book : requests_) {
+    if (!book.final_delivered && !book.lost) stragglers.push_back(book.id);
   }
+  std::sort(stragglers.begin(), stragglers.end());
+  for (const core::RequestId request : stragglers) {
+    violations_.push_back("quiesce: " + request.str() +
+                          " neither delivered nor lost");
+  }
+  const bool balanced = stragglers.empty();
   if (!balanced && config_.fatal) {
     write_report(std::cerr);
     std::abort();

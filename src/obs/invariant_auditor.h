@@ -56,8 +56,10 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "core/events.h"
 
 namespace rdp::core {
@@ -174,37 +176,72 @@ class InvariantAuditor final : public core::RdpObserver {
                         std::uint32_t, bool) override;
 
  private:
+  // One request's history.  Books only grow: a request keeps its book after
+  // it completes or is lost, so a late event still finds it.
   struct RequestBook {
-    bool reached_proxy = false;
+    core::RequestId id;
+    std::uint32_t mh_book = 0;  // index of id.mh()'s book in mh_books_
     // Host of the proxy the request last reached; a revisit-pattern Mh can
     // have its newest request served by a fresh proxy while the previous
     // one is still closing, so R4 must blame deletions per-proxy.
     core::NodeAddress proxy_host;  // default-invalid until it reaches one
+    std::uint32_t max_seq_at_proxy = 0;
+    bool any_seq_at_proxy = false;
+    bool reached_proxy = false;
     bool delivered_any = false;      // at least one downlink reached the app
     bool final_delivered = false;    // non-duplicate final delivery seen
     bool completed = false;
     bool lost = false;
-    std::uint32_t max_seq_at_proxy = 0;
-    bool any_seq_at_proxy = false;
+
+    // The requests R4 checks: reached a proxy, neither completed nor lost.
+    [[nodiscard]] bool open() const {
+      return reached_proxy && !completed && !lost;
+    }
+  };
+
+  // A proxy incarnation: its host and its id there.
+  struct ProxyRef {
+    core::NodeAddress host;
+    core::ProxyId id;
+    friend bool operator==(ProxyRef, ProxyRef) = default;
+  };
+
+  // One Mh's books, created at its first event.  Each list holds what is
+  // in flight for that Mh (a proxy or two, a few open requests, the ARQ
+  // epochs it has used), so a scan of it is short.
+  struct MhBook {
+    // Live proxies.  A proxy whose del-proxy ack has been forwarded leaves
+    // this list at once, though its deletion lands one wire latency later:
+    // it is closing, and R1 no longer counts it.
+    std::vector<ProxyRef> live;
+    // Open requests, as indices into requests_, in seq order.
+    std::vector<std::uint32_t> open;
+    // A1: next expected in-order ARQ delivery per epoch, oldest epoch first.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> arq_next;
   };
 
   void violate(common::SimTime at, const std::string& what);
+  void add_live_proxy(common::SimTime at, core::MhId mh,
+                      core::NodeAddress host, core::ProxyId p,
+                      const char* how);
+  // Index of r's book, created (with its Mh's book) when absent; .second
+  // tells whether it was.
+  std::pair<std::uint32_t, bool> request_book(core::RequestId r);
+  std::uint32_t mh_book(core::MhId mh);
+  void list_open(std::uint32_t request);
+  void unlist_open(std::uint32_t request);
+  // Drops every proxy hosted at `host` from the live books.
+  void forget_host(core::NodeAddress host);
 
   Config config_;
   const core::Directory* directory_;
   const FlightRecorder* recorder_ = nullptr;
 
   std::vector<std::string> violations_;
-  std::map<core::RequestId, RequestBook> requests_;
-  // Live proxies per Mh: the hosting address of each live incarnation.
-  std::map<core::MhId, std::set<core::NodeAddress>> live_proxies_;
-  // Proxies whose del-proxy ack has been forwarded but whose deletion has
-  // not landed yet (the teardown order is still on the wire).  They no
-  // longer count against R1: a fast-moving Mh may legitimately create its
-  // next proxy inside that window.
-  std::map<core::MhId, std::set<core::NodeAddress>> closing_proxies_;
-  // A1 bookkeeping: next expected in-order ARQ delivery per (Mh, epoch).
-  std::map<std::pair<core::MhId, std::uint32_t>, std::uint32_t> arq_next_;
+  std::vector<RequestBook> requests_;
+  common::FlatMap<std::uint32_t> request_index_;  // RequestId::packed()
+  std::vector<MhBook> mh_books_;
+  common::FlatMap<std::uint32_t> mh_index_;  // MhId::value()
   // R7 bookkeeping: membership as seen through the observer stream, plus
   // which backup currently owns each promoted primary's proxy set.
   std::set<core::MssId> down_mss_;
