@@ -5,20 +5,6 @@
 
 namespace rdp::analyzer {
 
-void WireTap::attach(net::WiredNetwork& wired) {
-  wired.add_send_observer(
-      [this](const net::Envelope& envelope) { on_wired_send(envelope); });
-}
-
-void WireTap::attach(net::WirelessChannel& wireless,
-                     const sim::Simulator& sim) {
-  wireless.add_frame_observer(
-      [this, &sim](common::MhId mh, const net::PayloadPtr& payload,
-                   bool uplink, net::FramePhase phase) {
-        on_wireless_frame(sim.now(), mh, payload, uplink, phase);
-      });
-}
-
 bool WireTap::encode_for_tap(const net::PayloadPtr& payload,
                              std::vector<std::uint8_t>& out) const {
   // A payload outside the core codec (e.g. a causal-order wrapper) is

@@ -1,11 +1,10 @@
 // WireTap: feeds the passive analyzer the raw bytes of everything that
 // crosses the two networks.
 //
-// Generalizes the cost-ledger taps: `attach()` subscribes to
-// WiredNetwork send observers and WirelessChannel frame observers (live,
-// single-kernel worlds), while the raw `on_wired_send` /
-// `on_wireless_frame` entry points let the shard-tap merger replay the
-// same sightings at barrier boundaries in sharded runs.
+// The tap has no subscriptions of its own.  A world's instruments
+// (harness/instruments.h) call its two entry points with every wired send
+// and every radio frame: live from the networks' observers on the single
+// kernel, from the shard-tap merger's barrier replay on the sharded one.
 //
 // Independence is the point: the tap *re-encodes* every payload with the
 // production codec and hands the analyzer bytes, never object state.  The
@@ -25,9 +24,7 @@
 #include "common/ids.h"
 #include "common/time.h"
 #include "net/message.h"
-#include "net/wired.h"
 #include "net/wireless.h"
-#include "sim/simulator.h"
 
 namespace rdp::analyzer {
 
@@ -35,12 +32,8 @@ class WireTap {
  public:
   explicit WireTap(Analyzer& analyzer) : analyzer_(analyzer) {}
 
-  // Live taps for single-kernel worlds; the simulator supplies frame
-  // timestamps (wired envelopes already carry sent_at).
-  void attach(net::WiredNetwork& wired);
-  void attach(net::WirelessChannel& wireless, const sim::Simulator& sim);
-
-  // Raw entry points — also the sinks for sharded barrier replay.
+  // Wired envelopes carry their send time; a frame's emission time comes
+  // from the caller.
   void on_wired_send(const net::Envelope& envelope);
   void on_wireless_frame(common::SimTime at, common::MhId mh,
                          const net::PayloadPtr& payload, bool uplink,

@@ -1,8 +1,6 @@
 #include "harness/sharded_world.h"
 
 #include <algorithm>
-#include <iostream>
-#include <unordered_map>
 #include <utility>
 
 #include "workload/topology.h"
@@ -26,7 +24,13 @@ sim::ShardedSimulator::Options kernel_options(
   // both charge at least their base latency.
   options.lookahead = std::min(config.base.wired.base_latency,
                                config.base.wireless.base_latency);
-  options.observer_interval = config.observer_interval;
+  // Observer barriers (docs/PROTOCOL.md §10): the kernel still fences and
+  // exchanges outboxes at every window, but the tap merge and replay runs
+  // only when the fence crosses a multiple of this interval (plus a final
+  // flush per run).  The fences that cross a fixed grid form a
+  // partition-invariant subset, so results stay bit-identical across
+  // shard counts.
+  options.observer_interval = common::Duration::millis(50);
   return options;
 }
 
@@ -72,7 +76,8 @@ ShardedWorld::Shard::Shard(sim::Simulator& simulator,
 ShardedWorld::ShardedWorld(ShardedScenarioConfig config)
     : config_(std::move(config)),
       sim_(kernel_options(config_)),
-      rng_(config_.base.seed) {
+      rng_(config_.base.seed),
+      instruments_(config_.base, directory_, observers_, "sharded world") {
   const ScenarioConfig& base = config_.base;
   RDP_CHECK(!base.proxy_checkpointing,
             "proxy checkpointing is a single-kernel feature");
@@ -121,66 +126,16 @@ ShardedWorld::ShardedWorld(ShardedScenarioConfig config)
     merger_.add_buffer(&shard.buffer);
   }
 
-  // Global consumers, fed by barrier-merged replay.  Allowances mirror
-  // World's ablation-derived rules (replication is structurally off here).
-  obs::TelemetryConfig telemetry_config = base.telemetry;
-  if (base.rdp.mh_reissue) {
-    telemetry_config.audit_rules.allow_proxy_coexistence = true;
-    telemetry_config.audit_rules.allow_result_reordering = true;
-    telemetry_config.audit_rules.allow_delproxy_with_pending = true;
-  }
-  if (!base.causal_order) {
-    telemetry_config.audit_rules.allow_result_reordering = true;
-  }
-  telemetry_ = std::make_unique<obs::Telemetry>(telemetry_config, &directory_);
-  telemetry_->attach(observers_);
+  // Global consumers, fed by barrier-merged replay.
   merger_.set_hook_sink(&observers_);
-
-  // Per-type wire message counters (same series World exports).
-  merger_.add_wired_sink(
-      [registry = &telemetry_->registry(),
-       cache = std::unordered_map<const char*,
-                                  obs::MetricsRegistry::Counter*>{}](
-          const net::Envelope& envelope) mutable {
-        const char* name = envelope.payload->name();
-        auto [it, inserted] = cache.try_emplace(name, nullptr);
-        if (inserted) {
-          it->second =
-              &registry->counter("net.wired.messages", {{"type", name}});
-        }
-        it->second->increment();
-      });
-
-  if (base.cost.enabled) {
-    cost_ledger_ =
-        std::make_unique<obs::CostLedger>(base.cost, &telemetry_->registry());
-    merger_.add_wired_sink([ledger = cost_ledger_.get()](
-                               const net::Envelope& envelope) {
-      ledger->on_wired_send(envelope);
-    });
-    merger_.add_frame_sink(
-        [ledger = cost_ledger_.get()](common::SimTime, common::MhId mh,
-                                      const net::PayloadPtr& payload,
-                                      bool uplink, net::FramePhase phase) {
-          ledger->on_wireless_frame(mh, payload, uplink, phase);
-        });
-  }
-
-  if (base.analyzer.enabled) {
-    analyzer_ = std::make_unique<analyzer::Analyzer>(base.analyzer,
-                                                     &telemetry_->registry());
-    analyzer_tap_ = std::make_unique<analyzer::WireTap>(*analyzer_);
-    merger_.add_wired_sink([tap = analyzer_tap_.get()](
-                               const net::Envelope& envelope) {
-      tap->on_wired_send(envelope);
-    });
-    merger_.add_frame_sink(
-        [tap = analyzer_tap_.get()](common::SimTime at, common::MhId mh,
-                                    const net::PayloadPtr& payload,
-                                    bool uplink, net::FramePhase phase) {
-          tap->on_wireless_frame(at, mh, payload, uplink, phase);
-        });
-  }
+  merger_.set_wired_sink([this](const net::Envelope& envelope) {
+    instruments_.on_wired_send(envelope);
+  });
+  merger_.set_frame_sink([this](common::SimTime at, common::MhId mh,
+                                const net::PayloadPtr& payload, bool uplink,
+                                net::FramePhase phase) {
+    instruments_.on_wireless_frame(at, mh, payload, uplink, phase);
+  });
 
   // Entity pinning.  Cells/Mss by contiguous block; the cell ids double as
   // Mss indices, exactly as in World.
@@ -276,19 +231,7 @@ ShardedWorld::ShardedWorld(ShardedScenarioConfig config)
   sim_.add_barrier_hook([this](common::SimTime) { merger_.flush(); });
 }
 
-ShardedWorld::~ShardedWorld() {
-  obs::InvariantAuditor* auditor = telemetry_ ? telemetry_->auditor() : nullptr;
-  if (auditor != nullptr && !auditor->clean()) {
-    std::cerr << "[rdp-audit] WARNING: sharded world tore down with "
-                 "invariant violations:\n";
-    auditor->write_report(std::cerr);
-  }
-  if (analyzer_ != nullptr && !analyzer_->clean()) {
-    std::cerr << "[rdp-analyzer] WARNING: sharded world tore down with "
-                 "conformance violations:\n";
-    analyzer_->write_report(std::cerr);
-  }
-}
+ShardedWorld::~ShardedWorld() = default;
 
 int ShardedWorld::shard_of_cell(common::CellId cell) const {
   return cell_shard_.at(cell.value());

@@ -9,9 +9,11 @@
 //
 // All inter-node traffic is routed through the sharded kernel's mailboxes
 // (net/shard_router.h), and the per-shard observer buffers are merged and
-// replayed into the global consumers — telemetry, the cost ledger, the
-// experiment metrics — at every window barrier (obs/shard_taps.h).  The
-// result is bit-identical to itself under any shard or thread count.
+// replayed at observer barriers (obs/shard_taps.h): protocol events into
+// the global observer list (telemetry, the experiment metrics), wired sends
+// and radio frames into the world's harness::Instruments — the same
+// instrument set World feeds live.  The result is bit-identical to itself
+// under any shard or thread count.
 //
 // Single-kernel-only features are excluded: fault injection, proxy
 // checkpointing and replication all assume one event queue (their crash
@@ -30,6 +32,7 @@
 #include "core/mss.h"
 #include "core/runtime.h"
 #include "core/server.h"
+#include "harness/instruments.h"
 #include "harness/world.h"
 #include "net/shard_router.h"
 #include "net/wired.h"
@@ -53,15 +56,6 @@ struct ShardedScenarioConfig {
   // Home cell per Mh (index = Mh id); determines the Mh's shard.  When
   // empty, Mh i starts in cell i % num_mss.
   std::vector<common::CellId> mh_home_cells;
-  // Observer-barrier interval (docs/PROTOCOL.md §10): the kernel still
-  // fences and exchanges outboxes at every window, but the single-threaded
-  // observer work — churn application, mirror sync, tap merge/replay —
-  // runs only when the fence crosses a multiple of this interval (plus a
-  // final flush per run).  Wireless state mirrors may then lag their home
-  // shard by up to this interval; the window fences that cross a fixed
-  // grid form a partition-invariant subset, so results remain
-  // bit-identical across shard counts.  Zero restores per-window hooks.
-  common::Duration observer_interval = common::Duration::millis(50);
 
   // Membership churn (PROTOCOL.md §8, sharded flavor): crash/restart an Mss
   // at a virtual time, mark it departed once it stays down past
@@ -110,14 +104,20 @@ class ShardedWorld {
   // The globally merged observer stream (barrier-replayed).  Observers
   // added here see every shard's events in canonical order.
   [[nodiscard]] core::ObserverList& observers() { return observers_; }
-  [[nodiscard]] obs::Telemetry& telemetry() { return *telemetry_; }
+  [[nodiscard]] obs::Telemetry& telemetry() {
+    return instruments_.telemetry();
+  }
   // Null unless base.cost.enabled.
-  [[nodiscard]] obs::CostLedger* cost_ledger() { return cost_ledger_.get(); }
+  [[nodiscard]] obs::CostLedger* cost_ledger() {
+    return instruments_.cost_ledger();
+  }
   // Null unless the scenario enabled the passive wire analyzer; fed by
   // barrier-merged replay, so its output is identical for any shard count.
-  [[nodiscard]] analyzer::Analyzer* wire_analyzer() { return analyzer_.get(); }
+  [[nodiscard]] analyzer::Analyzer* wire_analyzer() {
+    return instruments_.wire_analyzer();
+  }
   [[nodiscard]] analyzer::WireTap* analyzer_tap() {
-    return analyzer_tap_.get();
+    return instruments_.analyzer_tap();
   }
 
   [[nodiscard]] int num_mss() const { return static_cast<int>(msses_.size()); }
@@ -196,10 +196,7 @@ class ShardedWorld {
   std::vector<int> mh_home_shard_;   // mh id -> home shard
 
   core::ObserverList observers_;  // global consumers (merged stream)
-  std::unique_ptr<obs::Telemetry> telemetry_;
-  std::unique_ptr<obs::CostLedger> cost_ledger_;
-  std::unique_ptr<analyzer::Analyzer> analyzer_;
-  std::unique_ptr<analyzer::WireTap> analyzer_tap_;
+  Instruments instruments_;
   obs::ShardTapMerger merger_;
 
   std::vector<std::unique_ptr<core::Mss>> msses_;

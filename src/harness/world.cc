@@ -1,8 +1,5 @@
 #include "harness/world.h"
 
-#include <iostream>
-#include <unordered_map>
-
 namespace rdp::harness {
 
 World::World(ScenarioConfig config)
@@ -15,65 +12,17 @@ World::World(ScenarioConfig config)
       transport_(causal_ ? static_cast<net::WiredTransport&>(*causal_)
                          : static_cast<net::WiredTransport&>(wired_)),
       wireless_(simulator_, common::Rng(config.seed ^ 0x51c64e6dULL),
-                config.wireless) {
-  // The auditor's allowances follow the scenario's ablations: disabling
-  // causal order permits result reordering at the proxy, and the Mh
-  // re-issue extension can legitimately give an Mh a second proxy (and
-  // replay old result sequence numbers) after a crash.
-  obs::TelemetryConfig telemetry_config = config_.telemetry;
-  if (config_.rdp.mh_reissue) {
-    telemetry_config.audit_rules.allow_proxy_coexistence = true;
-    telemetry_config.audit_rules.allow_result_reordering = true;
-    // Deleting a proxy with requests pending is not a silent drop when the
-    // Mh watchdog owns re-driving them: a re-issued request coexists with
-    // the stale incarnation it abandoned, and the del-proxy handshake (or
-    // an adopted-proxy reclaim) legitimately tears the latter down.
-    // Without the watchdog R4 stays armed and the deletion site reports
-    // the losses itself.
-    telemetry_config.audit_rules.allow_delproxy_with_pending = true;
-  }
-  if (!config_.causal_order) {
-    telemetry_config.audit_rules.allow_result_reordering = true;
-  }
-  if (config_.replication.mode != replication::Mode::kOff) {
-    // During the promotion window a backup's adopted proxy coexists with
-    // the (dead) primary's bookkeeping, and re-driven server queries can
-    // replay result sequence numbers.
-    telemetry_config.audit_rules.allow_proxy_coexistence = true;
-    telemetry_config.audit_rules.allow_result_reordering = true;
-  }
-  telemetry_ = std::make_unique<obs::Telemetry>(telemetry_config, &directory_);
-  telemetry_->attach(observers_);
-
-  // Per-type wire message counters, labeled by the payload's stable name.
-  wired_.add_send_observer(
-      [registry = &telemetry_->registry(),
-       cache = std::unordered_map<const char*,
-                                  obs::MetricsRegistry::Counter*>{}](
-          const net::Envelope& envelope) mutable {
-        const char* name = envelope.payload->name();
-        auto [it, inserted] = cache.try_emplace(name, nullptr);
-        if (inserted) {
-          it->second =
-              &registry->counter("net.wired.messages", {{"type", name}});
-        }
-        it->second->increment();
-      });
-
-  if (config_.cost.enabled) {
-    cost_ledger_ = std::make_unique<obs::CostLedger>(config_.cost,
-                                                     &telemetry_->registry());
-    cost_ledger_->attach(wired_);
-    cost_ledger_->attach(wireless_);
-  }
-
-  if (config_.analyzer.enabled) {
-    analyzer_ = std::make_unique<analyzer::Analyzer>(config_.analyzer,
-                                                     &telemetry_->registry());
-    analyzer_tap_ = std::make_unique<analyzer::WireTap>(*analyzer_);
-    analyzer_tap_->attach(wired_);
-    analyzer_tap_->attach(wireless_, simulator_);
-  }
+                config.wireless),
+      instruments_(config_, directory_, observers_, "world") {
+  wired_.add_send_observer([this](const net::Envelope& envelope) {
+    instruments_.on_wired_send(envelope);
+  });
+  wireless_.add_frame_observer([this](common::MhId mh,
+                                       const net::PayloadPtr& payload,
+                                       bool uplink, net::FramePhase phase) {
+    instruments_.on_wireless_frame(simulator_.now(), mh, payload, uplink,
+                                   phase);
+  });
 
   runtime_ = std::make_unique<core::Runtime>(core::Runtime{
       simulator_, transport_, wireless_, directory_, config_.rdp, observers_,
@@ -135,22 +84,6 @@ World::World(ScenarioConfig config)
     membership_ = std::make_unique<replication::MembershipService>(
         *runtime_, config_.replication, directory_.allocate_address());
     observers_.add(membership_.get());
-  }
-}
-
-World::~World() {
-  // Surface violations even when nobody polls the auditor; fatal mode has
-  // already aborted at the violation site.
-  obs::InvariantAuditor* auditor = telemetry_ ? telemetry_->auditor() : nullptr;
-  if (auditor != nullptr && !auditor->clean()) {
-    std::cerr << "[rdp-audit] WARNING: world tore down with invariant "
-                 "violations:\n";
-    auditor->write_report(std::cerr);
-  }
-  if (analyzer_ != nullptr && !analyzer_->clean()) {
-    std::cerr << "[rdp-analyzer] WARNING: world tore down with conformance "
-                 "violations:\n";
-    analyzer_->write_report(std::cerr);
   }
 }
 

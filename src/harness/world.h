@@ -1,10 +1,13 @@
-// Scenario builder: a fully wired RDP world.
+// Scenario builder: a fully wired RDP world on the single kernel.
 //
 // Owns the simulation kernel, both networks (with optional causal layer),
 // the directory, N Mss's (one cell each, matching the paper's model), M
 // application servers and K mobile hosts, plus the counter registry and the
-// observer fan-out all entities report into.  Tests, examples and
-// benchmarks build a World, drive the mobile hosts, and read the metrics.
+// observer fan-out all entities report into.  Its observability consumers
+// are one harness::Instruments, the same set ShardedWorld builds, fed live
+// by one send observer on the wired network and one frame observer on the
+// radio.  Tests, examples and benchmarks build a World, drive the mobile
+// hosts, and read the metrics.
 #pragma once
 
 #include <memory>
@@ -19,6 +22,7 @@
 #include "core/mss.h"
 #include "core/runtime.h"
 #include "core/server.h"
+#include "harness/instruments.h"
 #include "net/wired.h"
 #include "net/wireless.h"
 #include "obs/cost_ledger.h"
@@ -48,20 +52,20 @@ struct ScenarioConfig {
   // departed and repairs the ring (PROTOCOL.md §8).
   replication::ReplicationConfig replication;
   // Observability: invariant auditing + flight recorder are on by default;
-  // span tracing and periodic metrics sampling are opt-in.  The World
-  // derives the auditor's rule allowances from the ablation flags above
-  // (e.g. causal_order=false permits result reordering), so scenarios only
-  // need to touch this for the opt-in pieces.
+  // span tracing and periodic metrics sampling are opt-in.  The world's
+  // Instruments derive the auditor's rule allowances from the ablation
+  // flags above (e.g. causal_order=false permits result reordering), so
+  // scenarios only need to touch this for the opt-in pieces.
   obs::TelemetryConfig telemetry;
-  // Wire-level byte/energy accounting (off by default: it adds a tap on
-  // every frame).  When enabled the World meters both networks through one
-  // obs::CostLedger and mirrors drain into telemetry().registry() as the
-  // rdp.cost.* / rdp.energy.* series.
+  // Wire-level byte/energy accounting (off by default: it meters every
+  // frame).  When enabled both networks feed one obs::CostLedger, which
+  // mirrors drain into telemetry().registry() as the rdp.cost.* /
+  // rdp.energy.* series.
   obs::CostConfig cost;
   // Passive wire analyzer (off by default: it re-encodes and decodes every
-  // tapped frame).  When enabled the World attaches an analyzer::WireTap to
-  // both networks and the second, wire-derived conformance checker runs
-  // alongside the invariant auditor (docs/PROTOCOL.md §12).
+  // frame).  When enabled an analyzer::WireTap sees both networks and the
+  // second, wire-derived conformance checker runs alongside the invariant
+  // auditor (docs/PROTOCOL.md §12).
   analyzer::AnalyzerConfig analyzer;
   net::WiredConfig wired;
   net::WirelessConfig wireless;
@@ -72,7 +76,6 @@ struct ScenarioConfig {
 class World {
  public:
   explicit World(ScenarioConfig config);
-  ~World();
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -109,14 +112,20 @@ class World {
   // Observability bundle (always present; individual components follow
   // config().telemetry).  Labeled wire-message counters land in
   // telemetry().registry() under "net.wired.messages"{type=...}.
-  [[nodiscard]] obs::Telemetry& telemetry() { return *telemetry_; }
+  [[nodiscard]] obs::Telemetry& telemetry() {
+    return instruments_.telemetry();
+  }
   // Null unless the scenario enabled cost accounting (config().cost).
-  [[nodiscard]] obs::CostLedger* cost_ledger() { return cost_ledger_.get(); }
+  [[nodiscard]] obs::CostLedger* cost_ledger() {
+    return instruments_.cost_ledger();
+  }
   // Null unless the scenario enabled the passive wire analyzer
   // (config().analyzer).
-  [[nodiscard]] analyzer::Analyzer* wire_analyzer() { return analyzer_.get(); }
+  [[nodiscard]] analyzer::Analyzer* wire_analyzer() {
+    return instruments_.wire_analyzer();
+  }
   [[nodiscard]] analyzer::WireTap* analyzer_tap() {
-    return analyzer_tap_.get();
+    return instruments_.analyzer_tap();
   }
 
   [[nodiscard]] int num_mss() const { return static_cast<int>(msses_.size()); }
@@ -159,10 +168,7 @@ class World {
   core::Directory directory_;
   stats::CounterRegistry counters_;
   core::ObserverList observers_;
-  std::unique_ptr<obs::Telemetry> telemetry_;
-  std::unique_ptr<obs::CostLedger> cost_ledger_;
-  std::unique_ptr<analyzer::Analyzer> analyzer_;
-  std::unique_ptr<analyzer::WireTap> analyzer_tap_;
+  Instruments instruments_;
   std::unique_ptr<core::Runtime> runtime_;
   std::unique_ptr<core::ProxyCheckpointStore> checkpoint_store_;
   std::vector<std::unique_ptr<core::Mss>> msses_;

@@ -137,16 +137,6 @@ void ShardTapMerger::add_buffer(ShardObserverBuffer* buffer) {
   buffers_.push_back(buffer);
 }
 
-void ShardTapMerger::add_wired_sink(WiredSink sink) {
-  RDP_CHECK(sink != nullptr, "null wired sink");
-  wired_sinks_.push_back(std::move(sink));
-}
-
-void ShardTapMerger::add_frame_sink(FrameSink sink) {
-  RDP_CHECK(sink != nullptr, "null frame sink");
-  frame_sinks_.push_back(std::move(sink));
-}
-
 void ShardTapMerger::flush() {
   // Barrier-time replay into the global consumers; the replayed events go
   // through ObserverList, so their cost splits into the per-hook domains
@@ -172,9 +162,10 @@ void ShardTapMerger::flush() {
               if (a.link_key != b.link_key) return a.link_key < b.link_key;
               return a.idx < b.idx;
             });
-  for (const auto& key : wired_keys_) {
-    const auto& record = buffers_[key.shard]->wired_[key.pos];
-    for (const auto& sink : wired_sinks_) sink(record.envelope);
+  if (wired_sink_) {
+    for (const auto& key : wired_keys_) {
+      wired_sink_(buffers_[key.shard]->wired_[key.pos].envelope);
+    }
   }
   for (auto* buffer : buffers_) buffer->wired_.clear();
 
@@ -196,10 +187,11 @@ void ShardTapMerger::flush() {
               if (a.shard != b.shard) return a.shard < b.shard;
               return a.idx < b.idx;
             });
-  for (const auto& key : frame_keys_) {
-    const auto& record = buffers_[key.shard]->frames_[key.pos];
-    for (const auto& sink : frame_sinks_) {
-      sink(record.at, record.mh, record.payload, record.uplink, record.phase);
+  if (frame_sink_) {
+    for (const auto& key : frame_keys_) {
+      const auto& record = buffers_[key.shard]->frames_[key.pos];
+      frame_sink_(record.at, record.mh, record.payload, record.uplink,
+                  record.phase);
     }
   }
   for (auto* buffer : buffers_) buffer->frames_.clear();

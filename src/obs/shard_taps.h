@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/events.h"
@@ -97,13 +98,13 @@ class ShardObserverBuffer final : public core::RdpObserver {
 };
 
 // Merges all shards' buffers at a barrier and replays them into the global
-// single-threaded consumers.
+// single-threaded consumers: one sink per record class.
 class ShardTapMerger {
  public:
   using WiredSink = std::function<void(const net::Envelope&)>;
   // Replayed with the frame's original emission time (BufferedFrame.at) so
   // time-aware consumers (the wire analyzer) see the same timestamps as a
-  // live tap; time-blind consumers just ignore the first argument.
+  // live tap.
   using FrameSink =
       std::function<void(common::SimTime, common::MhId, const net::PayloadPtr&,
                          bool, net::FramePhase)>;
@@ -112,8 +113,8 @@ class ShardTapMerger {
   // them in shard order.  All pointers must outlive the merger.
   void add_buffer(ShardObserverBuffer* buffer);
   void set_hook_sink(core::RdpObserver* sink) { hook_sink_ = sink; }
-  void add_wired_sink(WiredSink sink);
-  void add_frame_sink(FrameSink sink);
+  void set_wired_sink(WiredSink sink) { wired_sink_ = std::move(sink); }
+  void set_frame_sink(FrameSink sink) { frame_sink_ = std::move(sink); }
 
   // Drain every buffer, merge, replay.  Called at each window barrier.
   void flush();
@@ -152,8 +153,8 @@ class ShardTapMerger {
 
   std::vector<ShardObserverBuffer*> buffers_;
   core::RdpObserver* hook_sink_ = nullptr;
-  std::vector<WiredSink> wired_sinks_;
-  std::vector<FrameSink> frame_sinks_;
+  WiredSink wired_sink_;
+  FrameSink frame_sink_;
   std::vector<HookKey> hook_keys_;
   std::vector<WiredKey> wired_keys_;
   std::vector<FrameKey> frame_keys_;
