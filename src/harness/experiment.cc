@@ -6,6 +6,9 @@
 
 #include <iostream>
 #include <memory>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace rdp::harness {
 namespace {
@@ -29,23 +32,29 @@ struct ScopedControlAccumulator {
   bool active = false;
 };
 
-// Shared tail of the profiled runs: rdp.prof.* gauges into the registry
-// (before the CSV sample), spans onto the trace (before the trace write),
-// then the folded-stack file and the caller's report.
-void export_profile(const obs::Profiler& profiler,
-                    const ExperimentParams& params, obs::Telemetry& telemetry) {
-  profiler.export_metrics(telemetry.registry());
-  if (obs::SpanTracer* tracer = telemetry.tracer()) {
-    profiler.emit_trace_spans(*tracer);
-  }
-  if (!params.profile_folded_out.empty() &&
-      !profiler.write_folded(params.profile_folded_out)) {
-    std::cerr << "experiment: failed to write folded stacks to "
-              << params.profile_folded_out << "\n";
-  }
-  if (params.profile_report != nullptr) {
-    *params.profile_report = profiler.report();
-  }
+// The scenario every runner builds from its params.  The wire accounting
+// always runs: every experiment's byte numbers come from the one ledger.
+// A baseline world reads only the networks, counts, server and cost.
+ScenarioConfig scenario_config(const ExperimentParams& params) {
+  ScenarioConfig config;
+  config.seed = params.seed;
+  config.num_mss = params.num_mss();
+  config.num_mh = params.num_mh;
+  config.num_servers = params.num_servers;
+  config.causal_order = params.causal_order;
+  config.replication = params.replication;
+  config.proxy_checkpointing = params.proxy_checkpointing;
+  config.wired = params.wired;
+  config.wireless = params.wireless;
+  config.rdp = params.rdp;
+  config.server.base_service_time = params.service_time;
+  config.server.service_jitter = params.service_jitter;
+  config.telemetry.trace = !params.trace_out.empty();
+  config.telemetry.metrics_period = params.metrics_period;
+  config.cost.enabled = true;
+  config.cost.energy = params.energy;
+  config.analyzer.enabled = params.analyzer;
+  return config;
 }
 
 std::unique_ptr<workload::MobilityModel> make_mobility(
@@ -66,16 +75,30 @@ std::unique_ptr<workload::MobilityModel> make_mobility(
   RDP_CHECK(false, "unknown mobility kind");
 }
 
-workload::WorkloadParams make_workload(const ExperimentParams& params) {
-  workload::WorkloadParams wl;
-  wl.travel_time = params.travel_time;
-  wl.mean_request_interval = params.mean_request_interval;
-  wl.request_body = params.request_body;
-  wl.mean_active = params.mean_active;
-  wl.mean_inactive = params.mean_inactive;
-  wl.loss = params.loss;
-  return wl;
-}
+// What the drivers run: the grid, one mobility model per Mh (models can be
+// stateful: PingPongMobility remembers its home, so each driver owns its
+// own) and the drivers' workload parameters.  Building it draws no
+// randomness.
+struct Workload {
+  explicit Workload(const ExperimentParams& p)
+      : topology(workload::CellTopology::grid(p.grid_width, p.grid_height)) {
+    for (int i = 0; i < p.num_mh; ++i) {
+      mobilities.push_back(make_mobility(p, topology));
+    }
+    params.travel_time = p.travel_time;
+    params.mean_request_interval = p.mean_request_interval;
+    params.request_body = p.request_body;
+    params.mean_active = p.mean_active;
+    params.mean_inactive = p.mean_inactive;
+    params.loss = p.loss;
+  }
+  Workload(const Workload&) = delete;
+  Workload& operator=(const Workload&) = delete;
+
+  const workload::CellTopology topology;  // the models hold references
+  std::vector<std::unique_ptr<workload::MobilityModel>> mobilities;
+  workload::WorkloadParams params;
+};
 
 // Installs the correlated-loss shaper on the world's wireless channel.  The
 // shaper draws from a dedicated seed stream (not world.rng()) so enabling a
@@ -90,45 +113,68 @@ std::unique_ptr<workload::LossShaper> make_loss_shaper(
       common::Rng(params.seed ^ 0x5bf0a8b1451b54e9ull), params.loss);
 }
 
-// Everything shared between the RDP and baseline runs.  Wire accounting
-// comes from the world's cost ledger (the single accounting path for all
-// byte numbers), not from a bench-local tally.
-template <typename World, typename Host>
+template <typename World>
+using DriverFor = workload::HostDriver<
+    std::remove_reference_t<decltype(std::declval<World&>().mh(0))>>;
+
+// Driver i on a world with one kernel.
+template <typename World>
+std::unique_ptr<DriverFor<World>> make_driver(
+    World& world, int i, const ExperimentParams&, const Workload& workload,
+    const std::vector<common::NodeAddress>& servers) {
+  return std::make_unique<DriverFor<World>>(
+      world.simulator(), world.mh(i), *workload.mobilities[i],
+      world.rng().fork(), workload.params, servers);
+}
+
+// Driver i on its Mh's home shard, starting in the Mh's home cell.  Driver
+// cascades end in the Mh agent, which only sends over the radio: tag the
+// timers so the sharded kernel can widen its windows.
+std::unique_ptr<DriverFor<ShardedWorld>> make_driver(
+    ShardedWorld& world, int i, const ExperimentParams& params,
+    const Workload& workload,
+    const std::vector<common::NodeAddress>& servers) {
+  auto driver = std::make_unique<DriverFor<ShardedWorld>>(
+      world.shard_simulator(world.home_shard(i)), world.mh(i),
+      *workload.mobilities[i], world.rng().fork(), workload.params, servers);
+  driver->set_initial_cell(world.home_cell(i));
+  driver->set_reaction_bound(params.wireless.base_latency);
+  return driver;
+}
+
+// The driver loop every runner shares: one driver per Mh, started in Mh
+// order, each with the next fork of the world's RNG; then the workload, the
+// drivers' stop and the drain.  With a `control` profiler the driving
+// thread's barrier-time work is attributed to its control tree.
+template <typename World>
 void drive(World& world, const ExperimentParams& params,
-           MetricsCollector& metrics, ExperimentResult& result) {
-  world.observers().add(&metrics);
-
-  const workload::CellTopology topology =
-      workload::CellTopology::grid(params.grid_width, params.grid_height);
-  const workload::WorkloadParams wl = make_workload(params);
-
+           const Workload& workload, obs::Profiler* control,
+           ExperimentResult& result) {
   std::vector<common::NodeAddress> servers;
   for (int i = 0; i < params.num_servers; ++i) {
     servers.push_back(world.server_address(i));
   }
-
-  // Per-Mh mobility instances: models can be stateful (PingPongMobility
-  // remembers its home), so each driver owns its own.
-  std::vector<std::unique_ptr<workload::MobilityModel>> mobilities;
-  std::vector<std::unique_ptr<workload::HostDriver<Host>>> drivers;
+  std::vector<std::unique_ptr<DriverFor<World>>> drivers;
   drivers.reserve(params.num_mh);
   for (int i = 0; i < params.num_mh; ++i) {
-    mobilities.push_back(make_mobility(params, topology));
-    drivers.push_back(std::make_unique<workload::HostDriver<Host>>(
-        world.simulator(), world.mh(i), *mobilities.back(), world.rng().fork(),
-        wl, servers));
+    drivers.push_back(make_driver(world, i, params, workload, servers));
     drivers.back()->start();
   }
-  world.run_for(params.sim_time);
-  for (auto& driver : drivers) driver->stop();
-  world.run_for(params.drain_time);
-
+  {
+    const ScopedControlAccumulator scope(control);
+    world.run_for(params.sim_time);
+    for (auto& driver : drivers) driver->stop();
+    world.run_for(params.drain_time);
+  }
   for (auto& driver : drivers) {
     result.migrations += driver->migrations();
     result.reactivations += driver->reactivations();
   }
 }
 
+// Everything shared between the RDP and baseline runs.  Wire accounting
+// comes from the world's cost ledger (the single accounting path for all
+// byte numbers), not from a bench-local tally.
 void collect_common(const MetricsCollector& metrics,
                     const obs::CostLedger& ledger,
                     std::uint64_t wired_messages, std::uint64_t wired_bytes,
@@ -166,56 +212,160 @@ void collect_common(const MetricsCollector& metrics,
       counters.get("mss.stale_request_dropped");
 }
 
-}  // namespace
+// --- kernel adapters ---------------------------------------------------------
+//
+// What run_rdp does differently on the two kernels: building the world,
+// arming the profiler, the single kernel's extensions, and reading the
+// network totals, counters and kernel statistics back.  Each adapter owns
+// the world and everything that must be destroyed just before it.
 
-ExperimentResult run_rdp_experiment(const ExperimentParams& params) {
-  ScenarioConfig config;
-  config.seed = params.seed;
-  config.num_mss = params.num_mss();
-  config.num_mh = params.num_mh;
-  config.num_servers = params.num_servers;
-  config.causal_order = params.causal_order;
-  config.replication = params.replication;
-  config.proxy_checkpointing = params.proxy_checkpointing;
-  config.wired = params.wired;
-  config.wireless = params.wireless;
-  config.rdp = params.rdp;
-  config.server.base_service_time = params.service_time;
-  config.server.service_jitter = params.service_jitter;
-  config.telemetry.trace = !params.trace_out.empty();
-  config.telemetry.metrics_period = params.metrics_period;
-  config.cost.enabled = true;
-  config.cost.energy = params.energy;
-  config.analyzer.enabled = params.analyzer;
+// The single kernel: one event queue, so every extension runs on it.
+class SingleKernel {
+ public:
+  static constexpr bool kSharded = false;
 
-  World world(config);
-  // Destroyed before `world`; nothing runs the kernel after that, so the
-  // accumulator pointer left on the simulator never dangles into a run.
+  explicit SingleKernel(const ExperimentParams& params)
+      : params_(refuse_sharded_only(params)),
+        workload_(params),
+        world_(scenario_config(params)) {}
+
+  [[nodiscard]] World& world() { return world_; }
+  [[nodiscard]] const Workload& workload() const { return workload_; }
+  [[nodiscard]] common::SimTime now() { return world_.simulator().now(); }
+
+  void arm(obs::Profiler& profiler) {
+    world_.simulator().set_prof_accumulator(profiler.accumulator(0));
+  }
+  // Installs the correlated-loss shaper and runs the caller's world hook;
+  // both live until just before the world.  Runs before the metrics
+  // collector joins the observers, so the hook's observers precede it.
+  void prepare() {
+    loss_shaper_ = make_loss_shaper(world_, params_);
+    if (params_.rdp_world_hook) hook_state_ = params_.rdp_world_hook(world_);
+  }
+  void collect(const MetricsCollector& metrics, ExperimentResult& result) {
+    collect_common(metrics, *world_.cost_ledger(),
+                   world_.wired().messages_sent(), world_.wired().bytes_sent(),
+                   world_.counters(), result);
+    result.kernel_events = world_.simulator().executed_events();
+    if (world_.causal() != nullptr) {
+      result.causal_delayed = world_.causal()->delayed_total();
+    }
+  }
+  void ingest(obs::Profiler&) {}
+
+ private:
+  static const ExperimentParams& refuse_sharded_only(
+      const ExperimentParams& params) {
+    RDP_CHECK(params.membership_churn.empty(),
+              "membership churn is a sharded-kernel feature");
+    RDP_CHECK(params.shards == 1, "shards is a sharded-kernel parameter");
+    return params;
+  }
+
+  const ExperimentParams& params_;
+  Workload workload_;
+  World world_;
+  std::unique_ptr<workload::LossShaper> loss_shaper_;
+  // Hook state (fault injectors, probes) still touches the world when it
+  // is destroyed.
+  std::shared_ptr<void> hook_state_;
+};
+
+// The cell-partitioned kernel.  Each Mh's home cell pins it to a shard, so
+// the home cells are drawn before the world exists, from a dedicated RNG
+// stream consumed in Mh order.
+class ShardedKernel {
+ public:
+  static constexpr bool kSharded = true;
+
+  explicit ShardedKernel(const ExperimentParams& params)
+      : workload_(refuse_single_kernel_only(params)),
+        world_(sharded_config(params)) {}
+
+  [[nodiscard]] ShardedWorld& world() { return world_; }
+  [[nodiscard]] const Workload& workload() const { return workload_; }
+  [[nodiscard]] common::SimTime now() { return world_.kernel().now(); }
+
+  void arm(obs::Profiler& profiler) {
+    for (int s = 0; s < world_.kernel().shards(); ++s) {
+      world_.shard_simulator(s).set_prof_accumulator(profiler.accumulator(s));
+    }
+    world_.kernel().set_profiling(true);
+  }
+  void prepare() {}
+  void collect(const MetricsCollector& metrics, ExperimentResult& result) {
+    collect_common(metrics, *world_.cost_ledger(),
+                   world_.wired_messages_total(), world_.wired_bytes_total(),
+                   world_.merged_counters(), result);
+    result.kernel_events = world_.kernel().executed_events();
+    result.causal_delayed = world_.causal_delayed_total();
+  }
+  void ingest(obs::Profiler& profiler) {
+    profiler.ingest_shard_stats(world_.kernel());
+  }
+
+ private:
+  static const ExperimentParams& refuse_single_kernel_only(
+      const ExperimentParams& params) {
+    RDP_CHECK(params.replication.mode == replication::Mode::kOff,
+              "replication is a single-kernel feature");
+    RDP_CHECK(!params.proxy_checkpointing,
+              "proxy checkpointing is a single-kernel feature");
+    RDP_CHECK(!params.rdp_world_hook,
+              "rdp_world_hook targets the single-kernel World");
+    RDP_CHECK(params.loss.profile == workload::LossProfile::kClean,
+              "correlated loss profiles are a single-kernel feature");
+    return params;
+  }
+
+  ShardedScenarioConfig sharded_config(const ExperimentParams& params) {
+    ShardedScenarioConfig config;
+    // Replication's mode is kOff (refused above); the churn reads its
+    // timing knobs (departure_threshold) from the same config.
+    config.base = scenario_config(params);
+    config.shards = params.shards;
+    config.threads = params.shard_threads;
+    config.backup_k = params.backup_k;
+    for (const ExperimentParams::ChurnEvent& event : params.membership_churn) {
+      config.membership_churn.push_back({event.at, event.mss, event.up});
+    }
+    common::Rng home_rng(params.seed ^ 0xc3a5c85c97cb3127ull);
+    for (const auto& mobility : workload_.mobilities) {
+      config.mh_home_cells.push_back(mobility->initial_cell(home_rng));
+    }
+    return config;
+  }
+
+  Workload workload_;
+  ShardedWorld world_;
+};
+
+// The body both RDP runners share.
+template <typename Kernel>
+ExperimentResult run_rdp(const ExperimentParams& params) {
+  Kernel kernel(params);
+  auto& world = kernel.world();
+  // Destroyed before the world; nothing runs the kernel after that, so the
+  // accumulator pointers left on the simulators never dangle into a run.
   std::unique_ptr<obs::Profiler> profiler;
   if (params.profile) {
     profiler = std::make_unique<obs::Profiler>();
-    world.simulator().set_prof_accumulator(profiler->accumulator(0));
+    kernel.arm(*profiler);
     profiler->enable_alloc_tracking();
   }
-  // Destroyed before `world`, which clears the channel's drop filter.
-  const std::unique_ptr<workload::LossShaper> loss_shaper =
-      make_loss_shaper(world, params);
   // Mirror the experiment metrics into the world's registry so the CSV
   // export carries the labeled breakdowns alongside the wire counters.
   MetricsCollector metrics(&world.telemetry().registry());
   ExperimentResult result;
-  // Declared after `world` so hook state (fault injectors, probes) is torn
-  // down before the world it references.
-  std::shared_ptr<void> hook_state;
-  if (params.rdp_world_hook) hook_state = params.rdp_world_hook(world);
-  drive<World, core::MobileHostAgent>(world, params, metrics, result);
-  collect_common(metrics, *world.cost_ledger(), world.wired().messages_sent(),
-                 world.wired().bytes_sent(), world.counters(), result);
-  result.kernel_events = world.simulator().executed_events();
-  if (world.causal() != nullptr) {
-    result.causal_delayed = world.causal()->delayed_total();
-  }
-  if (const obs::InvariantAuditor* auditor = world.telemetry().auditor()) {
+  kernel.prepare();
+  world.observers().add(&metrics);
+  drive(world, params, kernel.workload(),
+        Kernel::kSharded ? profiler.get() : nullptr, result);
+
+  kernel.collect(metrics, result);
+  obs::Telemetry& telemetry = world.telemetry();
+  if (const obs::InvariantAuditor* auditor = telemetry.auditor()) {
     result.invariant_violations = auditor->violations().size();
   }
   if (analyzer::Analyzer* wire_analyzer = world.wire_analyzer()) {
@@ -231,17 +381,34 @@ ExperimentResult run_rdp_experiment(const ExperimentParams& params) {
                 << params.analyzer_out << "\n";
     }
   }
-  if (profiler) export_profile(*profiler, params, world.telemetry());
+  if (profiler) {
+    // rdp.prof.* gauges into the registry (before the CSV sample), spans
+    // onto the trace (before the trace write), then the folded-stack file
+    // and the caller's report.
+    kernel.ingest(*profiler);
+    profiler->export_metrics(telemetry.registry());
+    if (obs::SpanTracer* tracer = telemetry.tracer()) {
+      profiler->emit_trace_spans(*tracer);
+    }
+    if (!params.profile_folded_out.empty() &&
+        !profiler->write_folded(params.profile_folded_out)) {
+      std::cerr << "experiment: failed to write folded stacks to "
+                << params.profile_folded_out << "\n";
+    }
+    if (params.profile_report != nullptr) {
+      *params.profile_report = profiler->report();
+    }
+  }
   if (!params.trace_out.empty() &&
-      !world.telemetry().write_trace_json(params.trace_out)) {
+      !telemetry.write_trace_json(params.trace_out)) {
     std::cerr << "experiment: failed to write trace to " << params.trace_out
               << "\n";
   }
   if (!params.metrics_out.empty()) {
     // Close the series with one final sample so a zero-period run still
     // exports the end-state values.
-    world.telemetry().registry().sample_now(world.simulator().now());
-    if (!world.telemetry().write_metrics_csv(params.metrics_out)) {
+    telemetry.registry().sample_now(kernel.now());
+    if (!telemetry.write_metrics_csv(params.metrics_out)) {
       std::cerr << "experiment: failed to write metrics to "
                 << params.metrics_out << "\n";
     }
@@ -259,171 +426,30 @@ ExperimentResult run_rdp_experiment(const ExperimentParams& params) {
   return result;
 }
 
+}  // namespace
+
+ExperimentResult run_rdp_experiment(const ExperimentParams& params) {
+  return run_rdp<SingleKernel>(params);
+}
+
 ExperimentResult run_sharded_rdp_experiment(const ExperimentParams& params) {
-  RDP_CHECK(params.replication.mode == replication::Mode::kOff,
-            "replication is a single-kernel feature");
-  RDP_CHECK(!params.proxy_checkpointing,
-            "proxy checkpointing is a single-kernel feature");
-  RDP_CHECK(!params.rdp_world_hook,
-            "rdp_world_hook targets the single-kernel World");
-  RDP_CHECK(params.loss.profile == workload::LossProfile::kClean,
-            "correlated loss profiles are a single-kernel feature");
-
-  ShardedScenarioConfig config;
-  config.base.seed = params.seed;
-  config.base.num_mss = params.num_mss();
-  config.base.num_mh = params.num_mh;
-  config.base.num_servers = params.num_servers;
-  config.base.causal_order = params.causal_order;
-  config.base.wired = params.wired;
-  config.base.wireless = params.wireless;
-  config.base.rdp = params.rdp;
-  config.base.server.base_service_time = params.service_time;
-  config.base.server.service_jitter = params.service_jitter;
-  config.base.telemetry.trace = !params.trace_out.empty();
-  config.base.telemetry.metrics_period = params.metrics_period;
-  config.base.cost.enabled = true;
-  config.base.cost.energy = params.energy;
-  config.base.analyzer.enabled = params.analyzer;
-  config.shards = params.shards;
-  config.threads = params.shard_threads;
-  // Mode is kOff (checked above); the churn machinery reads the timing
-  // knobs (departure_threshold) and chain length from the same config.
-  config.base.replication = params.replication;
-  config.backup_k = params.backup_k;
-  for (const ExperimentParams::ChurnEvent& event : params.membership_churn) {
-    config.membership_churn.push_back({event.at, event.mss, event.up});
-  }
-
-  const workload::CellTopology topology =
-      workload::CellTopology::grid(params.grid_width, params.grid_height);
-  // Per-Mh mobility instances: models can be stateful (PingPongMobility
-  // remembers its home), so each driver owns its own, and the home cells —
-  // which pin each Mh to a shard and must exist before the world — come
-  // from a dedicated RNG stream consumed in Mh order.
-  std::vector<std::unique_ptr<workload::MobilityModel>> mobilities;
-  common::Rng home_rng(params.seed ^ 0xc3a5c85c97cb3127ull);
-  for (int i = 0; i < params.num_mh; ++i) {
-    mobilities.push_back(make_mobility(params, topology));
-    config.mh_home_cells.push_back(mobilities.back()->initial_cell(home_rng));
-  }
-
-  ShardedWorld world(config);
-  std::unique_ptr<obs::Profiler> profiler;
-  if (params.profile) {
-    profiler = std::make_unique<obs::Profiler>();
-    for (int s = 0; s < world.kernel().shards(); ++s) {
-      world.shard_simulator(s).set_prof_accumulator(profiler->accumulator(s));
-    }
-    world.kernel().set_profiling(true);
-    profiler->enable_alloc_tracking();
-  }
-  MetricsCollector metrics(&world.telemetry().registry());
-  world.observers().add(&metrics);
-  ExperimentResult result;
-
-  const workload::WorkloadParams wl = make_workload(params);
-  std::vector<common::NodeAddress> servers;
-  for (int i = 0; i < params.num_servers; ++i) {
-    servers.push_back(world.server_address(i));
-  }
-
-  // Drivers live on their Mh's home shard; RNG forks are drawn in Mh order
-  // so each driver's stream is independent of the shard layout.
-  std::vector<
-      std::unique_ptr<workload::HostDriver<core::MobileHostAgent>>>
-      drivers;
-  drivers.reserve(params.num_mh);
-  for (int i = 0; i < params.num_mh; ++i) {
-    drivers.push_back(
-        std::make_unique<workload::HostDriver<core::MobileHostAgent>>(
-            world.shard_simulator(world.home_shard(i)), world.mh(i),
-            *mobilities[i], world.rng().fork(), wl, servers));
-    drivers.back()->set_initial_cell(world.home_cell(i));
-    // Driver cascades end in the Mh agent, which only sends over the
-    // radio: tag the timers so the sharded kernel can widen its windows.
-    drivers.back()->set_reaction_bound(params.wireless.base_latency);
-    drivers.back()->start();
-  }
-  {
-    const ScopedControlAccumulator control(profiler.get());
-    world.run_for(params.sim_time);
-    for (auto& driver : drivers) driver->stop();
-    world.run_for(params.drain_time);
-  }
-
-  for (auto& driver : drivers) {
-    result.migrations += driver->migrations();
-    result.reactivations += driver->reactivations();
-  }
-
-  collect_common(metrics, *world.cost_ledger(), world.wired_messages_total(),
-                 world.wired_bytes_total(), world.merged_counters(), result);
-  result.kernel_events = world.kernel().executed_events();
-  result.causal_delayed = world.causal_delayed_total();
-  if (const obs::InvariantAuditor* auditor = world.telemetry().auditor()) {
-    result.invariant_violations = auditor->violations().size();
-  }
-  if (analyzer::Analyzer* wire_analyzer = world.wire_analyzer()) {
-    wire_analyzer->finalize();
-    result.analyzer_violations = wire_analyzer->violations().size();
-    result.analyzer_events = wire_analyzer->events_total();
-    result.analyzer_decode_errors = wire_analyzer->decode_errors();
-    if (!params.analyzer_out.empty() &&
-        !wire_analyzer->write_jsonl(params.analyzer_out)) {
-      std::cerr << "experiment: failed to write analyzer events to "
-                << params.analyzer_out << "\n";
-    }
-  }
-  if (profiler) {
-    profiler->ingest_shard_stats(world.kernel());
-    export_profile(*profiler, params, world.telemetry());
-  }
-  if (!params.trace_out.empty() &&
-      !world.telemetry().write_trace_json(params.trace_out)) {
-    std::cerr << "experiment: failed to write trace to " << params.trace_out
-              << "\n";
-  }
-  if (!params.metrics_out.empty()) {
-    world.telemetry().registry().sample_now(world.kernel().now());
-    if (!world.telemetry().write_metrics_csv(params.metrics_out)) {
-      std::cerr << "experiment: failed to write metrics to "
-                << params.metrics_out << "\n";
-    }
-  }
-
-  std::vector<double> placement;
-  for (int i = 0; i < world.num_mss(); ++i) {
-    placement.push_back(static_cast<double>(
-        metrics.proxy_host_tally.get(world.mss(i).address())));
-  }
-  result.placement_jain = stats::jain_fairness(placement);
-  result.placement_max_to_mean = stats::max_to_mean(placement);
-  return result;
+  return run_rdp<ShardedKernel>(params);
 }
 
 ExperimentResult run_baseline_experiment(const ExperimentParams& params,
                                          baseline::BaselineMode mode) {
   BaselineScenarioConfig config;
-  config.base.seed = params.seed;
-  config.base.num_mss = params.num_mss();
-  config.base.num_mh = params.num_mh;
-  config.base.num_servers = params.num_servers;
-  config.base.wired = params.wired;
-  config.base.wireless = params.wireless;
-  config.base.rdp = params.rdp;
-  config.base.server.base_service_time = params.service_time;
-  config.base.server.service_jitter = params.service_jitter;
-  config.base.cost.enabled = true;
-  config.base.cost.energy = params.energy;
+  config.base = scenario_config(params);
   config.baseline.mode = mode;
 
+  const Workload workload(params);
   BaselineWorld world(config);
   const std::unique_ptr<workload::LossShaper> loss_shaper =
       make_loss_shaper(world, params);
   MetricsCollector metrics;
   ExperimentResult result;
-  drive<BaselineWorld, baseline::MipHostAgent>(world, params, metrics, result);
+  world.observers().add(&metrics);
+  drive(world, params, workload, nullptr, result);
   collect_common(metrics, *world.cost_ledger(), world.wired().messages_sent(),
                  world.wired().bytes_sent(), world.counters(), result);
   result.kernel_events = world.simulator().executed_events();

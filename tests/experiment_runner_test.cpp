@@ -394,5 +394,54 @@ counters 59fce79fb567c858
 )");
 }
 
+// --- features one kernel does not run -----------------------------------------
+//
+// Each runner refuses what its kernel cannot run instead of silently running
+// without it.
+
+ExperimentParams sharded_scenario() {
+  ExperimentParams params = small_scenario(0x7ef5);
+  params.shards = 2;
+  return params;
+}
+
+TEST(ExperimentRunners, ShardedRefusesReplication) {
+  ExperimentParams params = sharded_scenario();
+  params.replication.mode = replication::Mode::kSync;
+  EXPECT_THROW(run_sharded_rdp_experiment(params), common::InvariantViolation);
+}
+
+TEST(ExperimentRunners, ShardedRefusesProxyCheckpointing) {
+  ExperimentParams params = sharded_scenario();
+  params.proxy_checkpointing = true;
+  EXPECT_THROW(run_sharded_rdp_experiment(params), common::InvariantViolation);
+}
+
+TEST(ExperimentRunners, ShardedRefusesWorldHook) {
+  ExperimentParams params = sharded_scenario();
+  params.rdp_world_hook = [](World&) -> std::shared_ptr<void> {
+    return nullptr;
+  };
+  EXPECT_THROW(run_sharded_rdp_experiment(params), common::InvariantViolation);
+}
+
+TEST(ExperimentRunners, ShardedRefusesCorrelatedLoss) {
+  ExperimentParams params = sharded_scenario();
+  params.loss.profile = workload::LossProfile::kBursty;
+  EXPECT_THROW(run_sharded_rdp_experiment(params), common::InvariantViolation);
+}
+
+TEST(ExperimentRunners, SingleKernelRefusesMembershipChurn) {
+  ExperimentParams params = small_scenario(0x7ef5);
+  params.membership_churn = {{Duration::seconds(10), 1, false}};
+  EXPECT_THROW(run_rdp_experiment(params), common::InvariantViolation);
+}
+
+TEST(ExperimentRunners, SingleKernelRefusesShards) {
+  ExperimentParams params = small_scenario(0x7ef5);
+  params.shards = 2;
+  EXPECT_THROW(run_rdp_experiment(params), common::InvariantViolation);
+}
+
 }  // namespace
 }  // namespace rdp::harness
