@@ -2,9 +2,6 @@
 // patterns of mobility"; these are the patterns).
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "common/time.h"
 #include "workload/topology.h"
 
@@ -112,24 +109,6 @@ class StaticMobility final : public MobilityModel {
 
  private:
   const CellTopology& topology_;
-};
-
-// First-order Markov chain over cells with an explicit row-stochastic
-// transition matrix (models commuter corridors / hot routes).
-class MarkovMobility final : public MobilityModel {
- public:
-  MarkovMobility(std::vector<std::vector<double>> transition,
-                 Duration mean_dwell);
-
-  CellId initial_cell(common::Rng& rng) override;
-  CellId next_cell(CellId current, common::Rng& rng) override;
-  Duration dwell(common::Rng& rng) override {
-    return rng.exponential_duration(mean_dwell_);
-  }
-
- private:
-  std::vector<std::vector<double>> transition_;
-  Duration mean_dwell_;
 };
 
 }  // namespace rdp::workload

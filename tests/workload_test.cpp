@@ -113,31 +113,6 @@ TEST(Mobility, StaticNeverMoves) {
   EXPECT_EQ(mobility.next_cell(start, rng), start);
 }
 
-TEST(Mobility, MarkovFollowsMatrix) {
-  // Cell 0 always goes to 1; cell 1 splits 50/50 between 0 and 2; cell 2
-  // always returns to 0.
-  MarkovMobility mobility({{0, 1, 0}, {0.5, 0, 0.5}, {1, 0, 0}},
-                          Duration::seconds(10));
-  Rng rng(7);
-  EXPECT_EQ(mobility.next_cell(CellId(0), rng), CellId(1));
-  EXPECT_EQ(mobility.next_cell(CellId(2), rng), CellId(0));
-  int to_zero = 0;
-  const int n = 2000;
-  for (int i = 0; i < n; ++i) {
-    const CellId next = mobility.next_cell(CellId(1), rng);
-    ASSERT_TRUE(next == CellId(0) || next == CellId(2));
-    if (next == CellId(0)) ++to_zero;
-  }
-  EXPECT_NEAR(static_cast<double>(to_zero) / n, 0.5, 0.05);
-}
-
-TEST(Mobility, MarkovRejectsBadMatrix) {
-  EXPECT_THROW(MarkovMobility({{0.5, 0.2}, {1, 0}}, Duration::seconds(1)),
-               common::InvariantViolation);
-  EXPECT_THROW(MarkovMobility({{1.0}, {1.0}}, Duration::seconds(1)),
-               common::InvariantViolation);
-}
-
 // ---------------------------------------------------------------------------
 // HostDriver end-to-end over the RDP stack.
 // ---------------------------------------------------------------------------
