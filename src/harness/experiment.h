@@ -1,6 +1,14 @@
-// Experiment runner shared by the benchmark binaries: runs an identical
-// randomized workload over the RDP stack or a baseline stack and collects
-// the metrics every row in EXPERIMENTS.md is made of.
+// Experiment runners shared by the benchmark binaries: run an identical
+// randomized workload over the RDP stack (on the single kernel or the
+// sharded one) or a baseline stack and collect the metrics every row in
+// EXPERIMENTS.md is made of.
+//
+// All three runners build their scenario from the params the same way and
+// share one driver loop.  The two RDP runners also share one body; what
+// differs by kernel (building the world, arming the profiler, the features
+// only one kernel runs, reading totals back) sits in a small adapter per
+// kernel.  Each runner refuses, with common::InvariantViolation, a feature
+// its kernel does not run rather than running without it.
 #pragma once
 
 #include <functional>
@@ -28,10 +36,11 @@ enum class MobilityKind { kStatic, kRandomWalk, kUniformJump, kPingPong };
 struct ExperimentParams {
   std::uint64_t seed = 1;
 
-  // Sharded kernel (run_sharded_rdp_experiment only): number of
-  // cell-partitioned shards and worker threads for window execution.  For a
-  // fixed seed the results are identical across every shards/threads
-  // combination; only wall-clock changes.
+  // Sharded kernel (run_sharded_rdp_experiment only; run_rdp_experiment
+  // refuses shards != 1): number of cell-partitioned shards and worker
+  // threads for window execution.  For a fixed seed the results are
+  // identical across every shards/threads combination; only wall-clock
+  // changes.
   int shards = 1;
   int shard_threads = 1;
 
@@ -73,8 +82,8 @@ struct ExperimentParams {
   // Protocol knobs.
   core::RdpConfig rdp;
   bool causal_order = true;
-  // Membership churn (sharded runs only): crash/restart the named Mss's at
-  // virtual times.  A host down past replication.departure_threshold is
+  // Membership churn (sharded runs only; run_rdp_experiment refuses a
+  // plan): crash/restart the named Mss's at virtual times.  A host down past replication.departure_threshold is
   // marked departed and its backup-chain bookkeeping is ring-repaired; a
   // departed host that restarts rejoins.  Everything is applied at window
   // barriers, so results stay bit-identical across shard/thread counts.
@@ -86,9 +95,11 @@ struct ExperimentParams {
   std::vector<ChurnEvent> membership_churn;
   // Chain length for the sharded churn's ring bookkeeping.
   int backup_k = 1;
-  // Primary/backup proxy replication (RDP runs only; kOff disables).
+  // Primary/backup proxy replication (single-kernel RDP runs only; kOff
+  // disables).
   replication::ReplicationConfig replication;
-  // Proxy checkpointing to simulated stable storage (RDP runs only).
+  // Proxy checkpointing to simulated stable storage (single-kernel RDP runs
+  // only).
   bool proxy_checkpointing = false;
 
   // Wire-level cost accounting.  The harness always runs with the ledger
@@ -101,7 +112,7 @@ struct ExperimentParams {
   // depending on src/fault.  The returned object is kept alive for the run
   // and destroyed before the world (a fault::FaultInjector's destructor
   // still touches it), so return state that must match the world's
-  // lifetime.  Ignored by baseline runs.
+  // lifetime.  Refused by the sharded runner; ignored by baseline runs.
   std::function<std::shared_ptr<void>(World&)> rdp_world_hook;
 
   // Telemetry artifacts (RDP runs only; empty path disables the export).
@@ -199,14 +210,16 @@ struct ExperimentResult {
   std::map<std::string, std::uint64_t> counters;
 };
 
-// Runs the workload over the full RDP stack.
+// Runs the workload over the full RDP stack on the single kernel.
+// membership_churn and shards are sharded-kernel parameters and must be
+// unset.
 ExperimentResult run_rdp_experiment(const ExperimentParams& params);
 
 // Runs the workload over the RDP stack on the cell-partitioned sharded
 // kernel (params.shards / params.shard_threads).  Replication, proxy
-// checkpointing and rdp_world_hook are single-kernel features and must be
-// unset.  For a fixed seed the result is bit-identical across all
-// shard/thread counts.
+// checkpointing, rdp_world_hook and correlated loss profiles are
+// single-kernel features and must be unset.  For a fixed seed the result
+// is bit-identical across all shard/thread counts.
 ExperimentResult run_sharded_rdp_experiment(const ExperimentParams& params);
 
 // Runs the identical workload over a baseline stack.

@@ -135,12 +135,13 @@ class CostLedger {
   CostLedger(const CostLedger&) = delete;
   CostLedger& operator=(const CostLedger&) = delete;
 
-  // Install the ledger's taps.  The ledger must outlive the networks' last
-  // delivery (in practice: construct it alongside them in the World).
+  // Subscribe the ledger to the networks' observers (BaselineWorld; the
+  // RDP worlds feed it through harness::Instruments).  The ledger must
+  // outlive the networks' last delivery.
   void attach(net::WiredNetwork& wired);
   void attach(net::WirelessChannel& wireless);
 
-  // Raw tap entry points, public so tests can feed frames directly.
+  // The tap entry points: every wired send and every radio frame.
   void on_wired_send(const net::Envelope& envelope);
   void on_wireless_frame(common::MhId mh, const net::PayloadPtr& payload,
                          bool uplink, net::FramePhase phase);

@@ -4,9 +4,9 @@
 // goes wrong late in a long run — a test failure, an invariant violation,
 // an on_request_lost — the investigation starts with the tail of protocol
 // history instead of a bare counter.  The fault subsystem also records its
-// injected faults and wire-level drop decisions here
-// (FaultInjector::set_flight_recorder), which the event stream never
-// carries.
+// injected faults and wire-level drop decisions here, which the event
+// stream never carries: a FaultInjector takes the world's recorder when it
+// is armed.
 //
 // The tail is almost never read, so an event is only copied into the ring
 // as it is; the text is formatted by dump().
