@@ -11,8 +11,16 @@ BaselineWorld::BaselineWorld(BaselineScenarioConfig config)
                 config.base.wireless) {
   if (config_.base.cost.enabled) {
     cost_ledger_ = std::make_unique<obs::CostLedger>(config_.base.cost);
-    cost_ledger_->attach(wired_);
-    cost_ledger_->attach(wireless_);
+    wired_.add_send_observer(
+        [ledger = cost_ledger_.get()](const net::Envelope& envelope) {
+          ledger->on_wired_send(envelope);
+        });
+    wireless_.add_frame_observer(
+        [ledger = cost_ledger_.get()](common::MhId mh,
+                                      const net::PayloadPtr& payload,
+                                      bool uplink, net::FramePhase phase) {
+          ledger->on_wireless_frame(mh, payload, uplink, phase);
+        });
   }
 
   // The baselines do not require causal order (Mobile IP runs over plain

@@ -1,6 +1,5 @@
 #include "harness/experiment.h"
 
-#include "harness/sharded_world.h"
 #include "obs/profiler.h"
 #include "stats/fairness.h"
 
@@ -216,8 +215,9 @@ void collect_common(const MetricsCollector& metrics,
 //
 // What run_rdp does differently on the two kernels: building the world,
 // arming the profiler, the single kernel's extensions, and reading the
-// network totals, counters and kernel statistics back.  Each adapter owns
-// the world and everything that must be destroyed just before it.
+// network totals, counters, kernel and shard statistics back.  Each
+// adapter owns the world and everything that must be destroyed just
+// before it.
 
 // The single kernel: one event queue, so every extension runs on it.
 class SingleKernel {
@@ -243,7 +243,8 @@ class SingleKernel {
     loss_shaper_ = make_loss_shaper(world_, params_);
     if (params_.rdp_world_hook) hook_state_ = params_.rdp_world_hook(world_);
   }
-  void collect(const MetricsCollector& metrics, ExperimentResult& result) {
+  void collect(const MetricsCollector& metrics, obs::Profiler*,
+               ExperimentResult& result) {
     collect_common(metrics, *world_.cost_ledger(),
                    world_.wired().messages_sent(), world_.wired().bytes_sent(),
                    world_.counters(), result);
@@ -252,7 +253,6 @@ class SingleKernel {
       result.causal_delayed = world_.causal()->delayed_total();
     }
   }
-  void ingest(obs::Profiler&) {}
 
  private:
   static const ExperimentParams& refuse_sharded_only(
@@ -294,15 +294,14 @@ class ShardedKernel {
     world_.kernel().set_profiling(true);
   }
   void prepare() {}
-  void collect(const MetricsCollector& metrics, ExperimentResult& result) {
+  void collect(const MetricsCollector& metrics, obs::Profiler* profiler,
+               ExperimentResult& result) {
     collect_common(metrics, *world_.cost_ledger(),
                    world_.wired_messages_total(), world_.wired_bytes_total(),
                    world_.merged_counters(), result);
     result.kernel_events = world_.kernel().executed_events();
     result.causal_delayed = world_.causal_delayed_total();
-  }
-  void ingest(obs::Profiler& profiler) {
-    profiler.ingest_shard_stats(world_.kernel());
+    if (profiler) profiler->ingest_shard_stats(world_.kernel());
   }
 
  private:
@@ -327,9 +326,7 @@ class ShardedKernel {
     config.shards = params.shards;
     config.threads = params.shard_threads;
     config.backup_k = params.backup_k;
-    for (const ExperimentParams::ChurnEvent& event : params.membership_churn) {
-      config.membership_churn.push_back({event.at, event.mss, event.up});
-    }
+    config.membership_churn = params.membership_churn;
     common::Rng home_rng(params.seed ^ 0xc3a5c85c97cb3127ull);
     for (const auto& mobility : workload_.mobilities) {
       config.mh_home_cells.push_back(mobility->initial_cell(home_rng));
@@ -363,7 +360,7 @@ ExperimentResult run_rdp(const ExperimentParams& params) {
   drive(world, params, kernel.workload(),
         Kernel::kSharded ? profiler.get() : nullptr, result);
 
-  kernel.collect(metrics, result);
+  kernel.collect(metrics, profiler.get(), result);
   obs::Telemetry& telemetry = world.telemetry();
   if (const obs::InvariantAuditor* auditor = telemetry.auditor()) {
     result.invariant_violations = auditor->violations().size();
@@ -385,7 +382,6 @@ ExperimentResult run_rdp(const ExperimentParams& params) {
     // rdp.prof.* gauges into the registry (before the CSV sample), spans
     // onto the trace (before the trace write), then the folded-stack file
     // and the caller's report.
-    kernel.ingest(*profiler);
     profiler->export_metrics(telemetry.registry());
     if (obs::SpanTracer* tracer = telemetry.tracer()) {
       profiler->emit_trace_spans(*tracer);

@@ -20,6 +20,7 @@
 #include "baseline/mip.h"
 #include "harness/baseline_world.h"
 #include "harness/metrics.h"
+#include "harness/sharded_world.h"
 #include "harness/world.h"
 #include "workload/driver.h"
 #include "workload/mobility.h"
@@ -83,15 +84,12 @@ struct ExperimentParams {
   core::RdpConfig rdp;
   bool causal_order = true;
   // Membership churn (sharded runs only; run_rdp_experiment refuses a
-  // plan): crash/restart the named Mss's at virtual times.  A host down past replication.departure_threshold is
-  // marked departed and its backup-chain bookkeeping is ring-repaired; a
-  // departed host that restarts rejoins.  Everything is applied at window
-  // barriers, so results stay bit-identical across shard/thread counts.
-  struct ChurnEvent {
-    common::Duration at;
-    int mss = 0;
-    bool up = false;  // false = crash, true = restart
-  };
+  // plan): crash/restart the named Mss's at virtual times.  A host down
+  // past replication.departure_threshold is marked departed and its
+  // backup-chain bookkeeping is ring-repaired; a departed host that
+  // restarts rejoins.  Everything is applied at window barriers, so
+  // results stay bit-identical across shard/thread counts.
+  using ChurnEvent = ShardedScenarioConfig::ChurnEvent;
   std::vector<ChurnEvent> membership_churn;
   // Chain length for the sharded churn's ring bookkeeping.
   int backup_k = 1;

@@ -124,19 +124,6 @@ const char* purpose_class_name(PurposeClass purpose) {
 CostLedger::CostLedger(CostConfig config, MetricsRegistry* registry)
     : config_(config), registry_(registry) {}
 
-void CostLedger::attach(net::WiredNetwork& wired) {
-  wired.add_send_observer(
-      [this](const net::Envelope& envelope) { on_wired_send(envelope); });
-}
-
-void CostLedger::attach(net::WirelessChannel& wireless) {
-  wireless.add_frame_observer(
-      [this](common::MhId mh, const net::PayloadPtr& payload, bool uplink,
-             net::FramePhase phase) {
-        on_wireless_frame(mh, payload, uplink, phase);
-      });
-}
-
 CostLedger::Rule CostLedger::rule_of(const net::MessageBase& message) {
   const auto key = reinterpret_cast<std::uintptr_t>(&typeid(message));
   if (const Rule* rule = rules_.find(key)) return *rule;

@@ -42,7 +42,6 @@
 #include "common/flat_map.h"
 #include "common/ids.h"
 #include "net/message.h"
-#include "net/wired.h"
 #include "net/wireless.h"
 #include "obs/metrics_registry.h"
 #include "stats/table.h"
@@ -135,13 +134,9 @@ class CostLedger {
   CostLedger(const CostLedger&) = delete;
   CostLedger& operator=(const CostLedger&) = delete;
 
-  // Subscribe the ledger to the networks' observers (BaselineWorld; the
-  // RDP worlds feed it through harness::Instruments).  The ledger must
-  // outlive the networks' last delivery.
-  void attach(net::WiredNetwork& wired);
-  void attach(net::WirelessChannel& wireless);
-
-  // The tap entry points: every wired send and every radio frame.
+  // The tap entry points: every wired send and every radio frame.  The
+  // ledger subscribes to nothing itself; its world feeds it (the RDP
+  // worlds through harness::Instruments).
   void on_wired_send(const net::Envelope& envelope);
   void on_wireless_frame(common::MhId mh, const net::PayloadPtr& payload,
                          bool uplink, net::FramePhase phase);
