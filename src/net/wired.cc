@@ -25,12 +25,22 @@ void WiredNetwork::attach(NodeAddress address, Endpoint* endpoint) {
   RDP_CHECK(inserted, "address already attached: " + address.str());
 }
 
-common::Duration WiredNetwork::sample_latency() {
+void WiredNetwork::set_fault_hook(FaultHook hook) {
+  RDP_CHECK(hook == nullptr || router_ == nullptr,
+            "fault injection is not supported in sharded runs");
+  fault_hook_ = std::move(hook);
+}
+
+common::Duration WiredNetwork::sample_latency(std::uint64_t stream_key,
+                                              std::uint64_t stream_seq) {
   const auto jitter_us = config_.jitter.count_micros();
+  if (jitter_us <= 0) return config_.base_latency;
   return config_.base_latency +
-         (jitter_us > 0
-              ? common::Duration::micros(rng_.uniform_int(0, jitter_us))
-              : common::Duration::zero());
+         common::Duration::micros(
+             router_ == nullptr
+                 ? rng_.uniform_int(0, jitter_us)
+                 : shard_draw_int(draw_seed_, stream_key, stream_seq,
+                                  jitter_us));
 }
 
 void WiredNetwork::send(NodeAddress src, NodeAddress dst, PayloadPtr payload,
@@ -40,37 +50,6 @@ void WiredNetwork::send(NodeAddress src, NodeAddress dst, PayloadPtr payload,
   RDP_PROF_SCOPE(kNetWired);
 
   const common::SimTime now = simulator_.now();
-
-  if (router_ != nullptr) {
-    RDP_CHECK(fault_hook_ == nullptr,
-              "fault injection is not supported in sharded runs");
-    // Sharded path: keyed latency draw, same per-link FIFO clamp (the link's
-    // state lives entirely on the sender's shard), delivery via the router.
-    const LinkKey key{src, dst};
-    const std::uint64_t stream_key = wired_stream_key(src, dst);
-    const std::uint64_t stream_seq = stream_seq_[key]++;
-
-    Envelope envelope{src, dst, std::move(payload), now, now, next_seq_++};
-    ++sent_;
-    bytes_ += envelope.payload->wire_size();
-    for (const auto& observer : observers_) observer(envelope);
-
-    const auto jitter_us = config_.jitter.count_micros();
-    common::SimTime arrival =
-        now + config_.base_latency +
-        (jitter_us > 0 ? common::Duration::micros(shard_draw_int(
-                             draw_seed_, stream_key, stream_seq, jitter_us))
-                       : common::Duration::zero());
-    auto [it, fresh] = last_arrival_.try_emplace(key, arrival);
-    if (!fresh && arrival <= it->second) {
-      arrival = it->second + common::Duration::micros(1);
-    }
-    it->second = arrival;
-    envelope.arrives_at = arrival;
-    router_->route_wired(std::move(envelope), priority, stream_key,
-                         stream_seq);
-    return;
-  }
   const FaultDecision fault =
       fault_hook_ ? fault_hook_(src, dst, payload) : FaultDecision{};
 
@@ -86,15 +65,22 @@ void WiredNetwork::send(NodeAddress src, NodeAddress dst, PayloadPtr payload,
     return;
   }
 
-  common::SimTime arrival = now + sample_latency() + fault.extra_delay;
+  // Shard mode numbers each link's messages: the number indexes the link's
+  // keyed latency draws and orders the arrival among the link's others.
+  const LinkKey link{src, dst};
+  const std::uint64_t stream_key =
+      router_ != nullptr ? wired_stream_key(src, dst) : 0;
+  const std::uint64_t stream_seq =
+      router_ != nullptr ? stream_seq_[link]++ : 0;
+  common::SimTime arrival =
+      now + sample_latency(stream_key, stream_seq) + fault.extra_delay;
   if (fault.extra_delay > common::Duration::zero()) {
     // A reorder-delayed message deliberately escapes the FIFO bookkeeping:
     // it may now arrive after messages sent later on the same link.
     ++faults_reordered_;
   } else {
     // Per-link FIFO: arrival times on one (src,dst) link strictly increase.
-    const LinkKey key{src, dst};
-    auto [it, fresh] = last_arrival_.try_emplace(key, arrival);
+    auto [it, fresh] = last_arrival_.try_emplace(link, arrival);
     if (!fresh && arrival <= it->second) {
       arrival = it->second + common::Duration::micros(1);
     }
@@ -102,8 +88,13 @@ void WiredNetwork::send(NodeAddress src, NodeAddress dst, PayloadPtr payload,
   }
   envelope.arrives_at = arrival;
 
+  if (router_ != nullptr) {
+    router_->route_wired(std::move(envelope), priority, stream_key,
+                         stream_seq);
+    return;
+  }
   simulator_.schedule_at(
-      arrival, [this, envelope] { deliver(envelope); }, priority);
+      arrival, [this, envelope] { deliver_injected(envelope); }, priority);
 
   for (int i = 0; i < fault.duplicates; ++i) {
     ++faults_duplicated_;
@@ -111,11 +102,11 @@ void WiredNetwork::send(NodeAddress src, NodeAddress dst, PayloadPtr payload,
     copy.seq = next_seq_++;
     copy.arrives_at = now + sample_latency();  // fresh latency, unclamped
     simulator_.schedule_at(
-        copy.arrives_at, [this, copy] { deliver(copy); }, priority);
+        copy.arrives_at, [this, copy] { deliver_injected(copy); }, priority);
   }
 }
 
-void WiredNetwork::deliver(const Envelope& envelope) {
+void WiredNetwork::deliver_injected(const Envelope& envelope) {
   RDP_PROF_SCOPE(kNetWired);
   auto it = endpoints_.find(envelope.dst);
   RDP_CHECK(it != endpoints_.end(),

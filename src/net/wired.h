@@ -86,19 +86,21 @@ class WiredNetwork final : public WiredTransport {
     observers_.push_back(std::move(observer));
   }
 
-  // Install (or clear, with nullptr) the fault-injection hook.
-  void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
+  // Install (or clear, with nullptr) the fault-injection hook.  Fault
+  // plans are a single-kernel feature: installing a hook in shard mode is
+  // refused.
+  void set_fault_hook(FaultHook hook);
 
-  // Switch this instance into sharded operation: deliveries go through
-  // `router` instead of the local simulator, and latency jitter is drawn
-  // from the counter-keyed hash under `draw_seed` so it is independent of
-  // the shard layout.  Incompatible with the fault hook (fault plans are a
-  // single-kernel feature).
+  // Switch this instance into sharded operation.  A send takes the same
+  // path in both modes; shard mode changes only where the latency jitter
+  // comes from (the counter-keyed hash under `draw_seed`, independent of
+  // the shard layout) and how the arrival is scheduled (through `router`,
+  // not on the local simulator).  Refused once a fault hook is installed.
   void enable_shard_mode(ShardRouter* router, std::uint64_t draw_seed);
 
-  // Injection entry point for the router: hand an envelope routed from
-  // (possibly) another shard to its attached endpoint.
-  void deliver_injected(const Envelope& envelope) { deliver(envelope); }
+  // Arrival of `envelope` (both modes): hand it to its attached endpoint.
+  // In shard mode the router calls this on the destination's shard.
+  void deliver_injected(const Envelope& envelope);
 
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
@@ -122,9 +124,10 @@ class WiredNetwork final : public WiredTransport {
     }
   };
 
-  void deliver(const Envelope& envelope);
-
-  common::Duration sample_latency();
+  // One-way latency.  Single kernel: the next draw of the network's rng.
+  // Shard mode: draw `stream_seq` of the link's keyed stream `stream_key`.
+  common::Duration sample_latency(std::uint64_t stream_key = 0,
+                                  std::uint64_t stream_seq = 0);
 
   sim::Simulator& simulator_;
   common::Rng rng_;
