@@ -101,6 +101,7 @@ ShardedWorld::ShardedWorld(ShardedScenarioConfig config)
     universe.emplace_back(static_cast<std::uint32_t>(i));
   }
 
+  mirror_.resize(static_cast<std::size_t>(base.num_mh));
   for (int s = 0; s < config_.shards; ++s) {
     routers_.push_back(std::make_unique<Router>(this, s));
     shards_.push_back(
@@ -109,7 +110,7 @@ ShardedWorld::ShardedWorld(ShardedScenarioConfig config)
     shard.wired.enable_shard_mode(routers_.back().get(),
                                   base.seed ^ kWiredDrawSalt);
     shard.wireless.enable_shard_mode(routers_.back().get(),
-                                     base.seed ^ kWirelessDrawSalt);
+                                     base.seed ^ kWirelessDrawSalt, mirror_);
     shard.wired.add_send_observer([buffer = &shard.buffer](
                                       const net::Envelope& envelope) {
       buffer->on_wired_send(envelope);
@@ -182,13 +183,10 @@ ShardedWorld::ShardedWorld(ShardedScenarioConfig config)
     const common::MhId id(static_cast<std::uint32_t>(i));
     const int s = shard_of_cell(config_.mh_home_cells[i]);
     mh_home_shard_.push_back(s);
-    // The agent's constructor registers it (live) with its home shard's
-    // channel; every other shard gets a mirror-only entry.
+    // The agent's constructor registers it with its home shard's channel;
+    // every shard reads its state from the one mirror.
     mhs_.push_back(
         std::make_unique<core::MobileHostAgent>(*shards_[s]->runtime, id));
-    for (int t = 0; t < config_.shards; ++t) {
-      if (t != s) shards_[t]->wireless.register_remote_mh(id);
-    }
   }
 
   if (!config_.membership_churn.empty()) {
@@ -285,10 +283,8 @@ void ShardedWorld::sync_mirrors() {
   // Deltas are absolute states and each Mh's originate on one shard (its
   // home), so applying buffers in shard order is partition-invariant.
   for (auto& shard : shards_) {
-    for (const auto& delta : shard->wireless.take_state_deltas()) {
-      for (auto& target : shards_) {
-        target->wireless.apply_state_delta(delta);
-      }
+    for (const auto& [mh, state] : shard->wireless.take_state_deltas()) {
+      mirror_[mh.value()] = state;
     }
   }
 }

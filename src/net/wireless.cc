@@ -12,10 +12,12 @@ WirelessChannel::WirelessChannel(sim::Simulator& simulator, common::Rng rng,
     : simulator_(simulator), rng_(rng), config_(config) {}
 
 void WirelessChannel::enable_shard_mode(ShardRouter* router,
-                                        std::uint64_t draw_seed) {
+                                        std::uint64_t draw_seed,
+                                        const std::vector<MhSnapshot>& mirror) {
   RDP_CHECK(router != nullptr, "shard mode needs a router");
   router_ = router;
   draw_seed_ = draw_seed;
+  mirror_ = &mirror;
 }
 
 namespace {
@@ -35,12 +37,6 @@ void WirelessChannel::register_remote_cell(CellId cell, MssId mss) {
   state = CellState{mss, nullptr, true};
 }
 
-void WirelessChannel::register_remote_mh(MhId mh) {
-  MirrorState& state = slot_at(mirror_, mh.value());
-  RDP_CHECK(!state.known, "mh already mirrored: " + mh.str());
-  state.known = true;
-}
-
 void WirelessChannel::register_cell(CellId cell, MssId mss,
                                     UplinkReceiver* receiver) {
   RDP_CHECK(receiver != nullptr, "cell receiver must not be null");
@@ -53,8 +49,7 @@ void WirelessChannel::register_mh(MhId mh, DownlinkReceiver* receiver) {
   RDP_CHECK(receiver != nullptr, "mh receiver must not be null");
   MhState& state = slot_at(mhs_, mh.value());
   RDP_CHECK(state.receiver == nullptr, "mh already registered: " + mh.str());
-  state = MhState{receiver, std::nullopt, false};
-  slot_at(mirror_, mh.value()).known = true;
+  state = MhState{receiver, {}};
 }
 
 const WirelessChannel::CellState& WirelessChannel::cell_state(
@@ -83,24 +78,23 @@ WirelessChannel::MhState& WirelessChannel::mh_state(MhId mh) {
 void WirelessChannel::place_mh(MhId mh, CellId cell) {
   RDP_CHECK(cell.value() < cells_.size() && cells_[cell.value()].known,
             "placing mh in unknown cell " + cell.str());
-  mh_state(mh).cell = cell;
+  mh_state(mh).radio.cell = cell;
   record_delta(mh);
 }
 
 void WirelessChannel::detach_mh(MhId mh) {
-  mh_state(mh).cell = std::nullopt;
+  mh_state(mh).radio.cell = std::nullopt;
   record_delta(mh);
 }
 
 void WirelessChannel::set_mh_active(MhId mh, bool active) {
-  mh_state(mh).active = active;
+  mh_state(mh).radio.active = active;
   record_delta(mh);
 }
 
 void WirelessChannel::record_delta(MhId mh) {
   if (router_ == nullptr) return;
-  const MhState& state = mh_state(mh);
-  pending_deltas_.push_back(MhStateDelta{mh, state.cell, state.active});
+  pending_deltas_.push_back(MhStateDelta{mh, mh_state(mh).radio});
 }
 
 std::vector<WirelessChannel::MhStateDelta>
@@ -108,52 +102,43 @@ WirelessChannel::take_state_deltas() {
   return std::exchange(pending_deltas_, {});
 }
 
-void WirelessChannel::apply_state_delta(const MhStateDelta& delta) {
-  RDP_CHECK(delta.mh.value() < mirror_.size() &&
-                mirror_[delta.mh.value()].known,
-            "delta for unmirrored mh " + delta.mh.str());
-  MirrorState& state = mirror_[delta.mh.value()];
-  state.cell = delta.cell;
-  state.active = delta.active;
-}
-
-bool WirelessChannel::mh_active(MhId mh) const { return mh_state(mh).active; }
-
 std::optional<CellId> WirelessChannel::mh_cell(MhId mh) const {
-  return mh_state(mh).cell;
+  return mh_state(mh).radio.cell;
 }
 
-const WirelessChannel::MirrorState& WirelessChannel::mirror_state(
-    MhId mh) const {
-  RDP_CHECK(mh.value() < mirror_.size() && mirror_[mh.value()].known,
-            "unknown mh " + mh.str());
-  return mirror_[mh.value()];
+const MhSnapshot& WirelessChannel::snapshot(MhId mh) const {
+  if (router_ == nullptr) return mh_state(mh).radio;
+  RDP_CHECK(mh.value() < mirror_->size(), "unknown mh " + mh.str());
+  return (*mirror_)[mh.value()];
 }
 
 bool WirelessChannel::snapshot_mh_active(MhId mh) const {
-  if (router_ == nullptr) return mh_state(mh).active;
-  return mirror_state(mh).active;
+  return snapshot(mh).active;
 }
 
 std::optional<CellId> WirelessChannel::snapshot_mh_cell(MhId mh) const {
-  if (router_ == nullptr) return mh_state(mh).cell;
-  return mirror_state(mh).cell;
+  return snapshot(mh).cell;
 }
 
-common::Duration WirelessChannel::sample_latency() {
-  const auto jitter_us = config_.jitter.count_micros();
-  return config_.base_latency +
-         (jitter_us > 0
-              ? common::Duration::micros(rng_.uniform_int(0, jitter_us))
-              : common::Duration::zero());
-}
-
-void WirelessChannel::count_drop(DropReason reason) {
+void WirelessChannel::count_drop(bool uplink, DropReason reason) {
+  ++(uplink ? uplink_dropped_ : downlink_dropped_);
   ++drops_by_reason_[static_cast<int>(reason)];
 }
 
 std::uint64_t WirelessChannel::drops_for(DropReason reason) const {
   return drops_by_reason_[static_cast<int>(reason)];
+}
+
+bool WirelessChannel::reaches(const MhSnapshot& mh, CellId cell) {
+  if (mh.cell != cell) {
+    count_drop(/*uplink=*/false, DropReason::kNotInCell);
+    return false;
+  }
+  if (!mh.active) {
+    count_drop(/*uplink=*/false, DropReason::kInactive);
+    return false;
+  }
+  return true;
 }
 
 void WirelessChannel::notify(MhId mh, const PayloadPtr& payload, bool uplink,
@@ -167,56 +152,74 @@ void WirelessChannel::uplink(MhId from, PayloadPtr payload,
                              sim::EventPriority priority) {
   RDP_CHECK(payload != nullptr, "cannot uplink a null payload");
   RDP_PROF_SCOPE(kNetWireless);
-  const MhState& state = mh_state(from);
+  const MhSnapshot& state = mh_state(from).radio;
   RDP_CHECK(state.active, from.str() + " uplinked while inactive");
   RDP_CHECK(state.cell.has_value(), from.str() + " uplinked while in transit");
 
   ++uplink_sent_;
   uplink_bytes_ += payload->wire_size();
   notify(from, payload, /*uplink=*/true, FramePhase::kSent);
+  transmit(/*uplink=*/true, *state.cell, from, std::move(payload), priority);
+}
+
+void WirelessChannel::downlink(CellId cell, MhId to, PayloadPtr payload) {
+  RDP_CHECK(payload != nullptr, "cannot downlink a null payload");
+  RDP_PROF_SCOPE(kNetWireless);
+  RDP_CHECK(cell_state(cell).receiver != nullptr,
+            "downlink sent from non-owning shard for " + cell.str());
+  ++downlink_sent_;
+  downlink_bytes_ += payload->wire_size();
+  notify(to, payload, /*uplink=*/false, FramePhase::kSent);
+  if (!reaches(snapshot(to), cell)) return;
+  transmit(/*uplink=*/false, cell, to, std::move(payload),
+           sim::EventPriority::kNormal);
+}
+
+void WirelessChannel::transmit(bool uplink, CellId cell, MhId mh,
+                               PayloadPtr payload,
+                               sim::EventPriority priority) {
+  // The fate draws.  Single kernel: the channel's rng, in send order.
+  // Shard mode: the stream's n-th frame reads keyed draws 2n (loss) and
+  // 2n+1 (latency), so its fate does not depend on the shard layout.
+  const double loss = uplink ? config_.uplink_loss : config_.downlink_loss;
+  const std::int64_t jitter_us = config_.jitter.count_micros();
+  std::uint64_t key = 0;
+  std::uint64_t n = 0;
+  bool lost = false;
+  if (router_ == nullptr) {
+    lost = rng_.bernoulli(loss);
+  } else {
+    key = uplink ? uplink_stream_key(mh, cell) : downlink_stream_key(cell, mh);
+    n = stream_seq_[key]++;
+    lost = shard_draw_unit(draw_seed_, key, 2 * n) < loss;
+  }
+  if (lost || (drop_filter_ && drop_filter_(mh, payload, uplink))) {
+    count_drop(uplink, DropReason::kLoss);
+    return;
+  }
+  std::int64_t jitter = 0;
+  if (jitter_us > 0) {
+    jitter = router_ == nullptr
+                 ? rng_.uniform_int(0, jitter_us)
+                 : shard_draw_int(draw_seed_, key, 2 * n + 1, jitter_us);
+  }
+  const common::SimTime arrives_at = simulator_.now() + config_.base_latency +
+                                     common::Duration::micros(jitter);
 
   if (router_ != nullptr) {
-    // Sharded path: the Mh's own state is local (this is its home shard);
-    // loss and latency are keyed draws so the frame's fate is independent
-    // of the shard layout; delivery goes through the router to the cell's
-    // shard.
-    const CellId cell = *state.cell;
-    const std::uint64_t key = uplink_stream_key(from, cell);
-    const std::uint64_t n = stream_seq_[key]++;
-    const bool lost =
-        shard_draw_unit(draw_seed_, key, 2 * n) < config_.uplink_loss;
-    if (lost || (drop_filter_ && drop_filter_(from, payload, true))) {
-      ++uplink_dropped_;
-      count_drop(DropReason::kLoss);
-      return;
-    }
-    const auto jitter_us = config_.jitter.count_micros();
-    const common::Duration latency =
-        config_.base_latency +
-        (jitter_us > 0 ? common::Duration::micros(shard_draw_int(
-                             draw_seed_, key, 2 * n + 1, jitter_us))
-                       : common::Duration::zero());
-    router_->route_wireless(
-        WirelessFrame{true, cell, from, std::move(payload), priority,
-                      simulator_.now() + latency},
-        key, n);
+    router_->route_wireless(WirelessFrame{uplink, cell, mh, std::move(payload),
+                                          priority, arrives_at},
+                            key, n);
     return;
   }
-
-  if (rng_.bernoulli(config_.uplink_loss) ||
-      (drop_filter_ && drop_filter_(from, payload, /*uplink=*/true))) {
-    ++uplink_dropped_;
-    count_drop(DropReason::kLoss);
-    return;
-  }
-  const CellId cell = *state.cell;
-  UplinkReceiver* receiver = cell_state(cell).receiver;
-  simulator_.schedule(
-      sample_latency(),
-      [this, receiver, from, payload = std::move(payload)] {
-        RDP_PROF_SCOPE(kNetWireless);
-        notify(from, payload, /*uplink=*/true, FramePhase::kDelivered);
-        receiver->on_uplink(from, payload);
+  simulator_.schedule_at(
+      arrives_at,
+      [this, uplink, cell, mh, payload = std::move(payload)] {
+        if (uplink) {
+          deliver_injected_uplink(mh, cell, payload);
+        } else {
+          deliver_injected_downlink(cell, mh, payload);
+        }
       },
       priority);
 }
@@ -231,112 +234,12 @@ void WirelessChannel::deliver_injected_uplink(MhId from, CellId cell,
   receiver->on_uplink(from, payload);
 }
 
-void WirelessChannel::downlink(CellId cell, MhId to, PayloadPtr payload) {
-  RDP_CHECK(payload != nullptr, "cannot downlink a null payload");
-  RDP_PROF_SCOPE(kNetWireless);
-  const CellState& sender = cell_state(cell);
-  ++downlink_sent_;
-  downlink_bytes_ += payload->wire_size();
-  notify(to, payload, /*uplink=*/false, FramePhase::kSent);
-
-  if (router_ != nullptr) {
-    // Sharded path.  Send-time reachability comes from the barrier-synced
-    // mirror (partition-invariant, staleness bounded by one window); the
-    // live re-check happens at arrival on the Mh's home shard.
-    RDP_CHECK(sender.receiver != nullptr,
-              "downlink sent from non-owning shard for " + cell.str());
-    const MirrorState& seen = mirror_state(to);
-    if (!seen.cell || *seen.cell != cell) {
-      ++downlink_dropped_;
-      count_drop(DropReason::kNotInCell);
-      return;
-    }
-    if (!seen.active) {
-      ++downlink_dropped_;
-      count_drop(DropReason::kInactive);
-      return;
-    }
-    const std::uint64_t key = downlink_stream_key(cell, to);
-    const std::uint64_t n = stream_seq_[key]++;
-    const bool lost =
-        shard_draw_unit(draw_seed_, key, 2 * n) < config_.downlink_loss;
-    if (lost || (drop_filter_ && drop_filter_(to, payload, false))) {
-      ++downlink_dropped_;
-      count_drop(DropReason::kLoss);
-      return;
-    }
-    const auto jitter_us = config_.jitter.count_micros();
-    const common::Duration latency =
-        config_.base_latency +
-        (jitter_us > 0 ? common::Duration::micros(shard_draw_int(
-                             draw_seed_, key, 2 * n + 1, jitter_us))
-                       : common::Duration::zero());
-    router_->route_wireless(
-        WirelessFrame{false, cell, to, std::move(payload),
-                      sim::EventPriority::kNormal,
-                      simulator_.now() + latency},
-        key, n);
-    return;
-  }
-
-  {
-    const MhState& state = mh_state(to);
-    if (!state.cell || *state.cell != cell) {
-      ++downlink_dropped_;
-      count_drop(DropReason::kNotInCell);
-      return;
-    }
-    if (!state.active) {
-      ++downlink_dropped_;
-      count_drop(DropReason::kInactive);
-      return;
-    }
-  }
-  if (rng_.bernoulli(config_.downlink_loss) ||
-      (drop_filter_ && drop_filter_(to, payload, /*uplink=*/false))) {
-    ++downlink_dropped_;
-    count_drop(DropReason::kLoss);
-    return;
-  }
-
-  simulator_.schedule(sample_latency(), [this, cell, to,
-                                         payload = std::move(payload)] {
-    RDP_PROF_SCOPE(kNetWireless);
-    // Re-check at arrival: the Mh may have migrated or gone inactive while
-    // the frame was in the air.
-    const MhState& state = mh_state(to);
-    if (!state.cell || *state.cell != cell) {
-      ++downlink_dropped_;
-      count_drop(DropReason::kNotInCell);
-      return;
-    }
-    if (!state.active) {
-      ++downlink_dropped_;
-      count_drop(DropReason::kInactive);
-      return;
-    }
-    notify(to, payload, /*uplink=*/false, FramePhase::kDelivered);
-    state.receiver->on_downlink(cell, payload);
-  });
-}
-
 void WirelessChannel::deliver_injected_downlink(CellId cell, MhId to,
                                                 const PayloadPtr& payload) {
   RDP_PROF_SCOPE(kNetWireless);
-  // Arrival-time re-check against the live state: this is the Mh's home
-  // shard, so the ground truth is local.  The Mh may have migrated or gone
-  // inactive while the frame was in the air.
+  // The live state: in shard mode this runs on the Mh's home shard.
   const MhState& state = mh_state(to);
-  if (!state.cell || *state.cell != cell) {
-    ++downlink_dropped_;
-    count_drop(DropReason::kNotInCell);
-    return;
-  }
-  if (!state.active) {
-    ++downlink_dropped_;
-    count_drop(DropReason::kInactive);
-    return;
-  }
+  if (!reaches(state.radio, cell)) return;
   notify(to, payload, /*uplink=*/false, FramePhase::kDelivered);
   state.receiver->on_downlink(cell, payload);
 }
