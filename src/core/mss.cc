@@ -82,13 +82,12 @@ void Mss::dispatch_uplink(MhId from, const net::PayloadPtr& payload) {
 }
 
 void Mss::handle_join(MhId mh) {
-  if (local_mhs_.contains(mh)) {
+  if (prefs_.contains(mh)) {
     // Duplicate join (our registrationAck was lost): just re-confirm.
     send_registration_ack(mh);
     return;
   }
   if (pending_handoffs_.contains(mh)) return;  // hand-off already running
-  local_mhs_.insert(mh);
   prefs_[mh].clear();
   departed_to_.erase(mh);
   count("mss.joins");
@@ -118,18 +117,15 @@ void Mss::handle_join(MhId mh) {
 }
 
 void Mss::handle_leave(MhId mh) {
-  if (!local_mhs_.contains(mh)) return;
-  local_mhs_.erase(mh);
   auto it = prefs_.find(mh);
-  if (it != prefs_.end()) {
-    if (it->second.has_proxy()) {
-      // Assumption 6 makes this benign in conforming workloads (no pending
-      // requests); with a proxy still alive somewhere it becomes orphaned
-      // and is only reclaimed by the idle-proxy GC extension.
-      count("mss.leave_with_proxy");
-    }
-    prefs_.erase(it);
+  if (it == prefs_.end()) return;
+  if (it->second.has_proxy()) {
+    // Assumption 6 makes this benign in conforming workloads (no pending
+    // requests); with a proxy still alive somewhere it becomes orphaned
+    // and is only reclaimed by the idle-proxy GC extension.
+    count("mss.leave_with_proxy");
   }
+  prefs_.erase(it);
   drop_cached_results(mh);
   // Deliberately NOT forgetting the ARQ channel here: retransmitted frames
   // of the final epoch can still be in flight when the leave arrives, and
@@ -139,12 +135,12 @@ void Mss::handle_leave(MhId mh) {
 }
 
 void Mss::handle_greet(MhId mh, MssId old_mss) {
-  if (local_mhs_.contains(mh)) {
+  if (auto it = prefs_.find(mh); it != prefs_.end()) {
     // Re-activation in our cell (§3.1) or a duplicate greet after a lost
     // registrationAck: confirm, and let the proxy re-send anything the Mh
     // missed while inactive.
     send_registration_ack(mh);
-    const Pref& pref = prefs_.at(mh);
+    const Pref& pref = it->second;
     if (pref.has_proxy()) send_update_currentloc(mh, pref);
     count("mss.greets_reactivate");
     return;
@@ -197,7 +193,8 @@ void Mss::handle_greet(MhId mh, MssId old_mss) {
 }
 
 void Mss::handle_uplink_request(MhId mh, const MsgUplinkRequest& msg) {
-  if (!local_mhs_.contains(mh)) {
+  auto it = prefs_.find(mh);
+  if (it == prefs_.end()) {
     // The Mh de-registered between sending and delivery; RDP does not
     // retransmit requests (QRPC-style request reliability is complementary,
     // §4), so the request is lost and counted.  When the Mh re-issue
@@ -213,7 +210,7 @@ void Mss::handle_uplink_request(MhId mh, const MsgUplinkRequest& msg) {
     }
     return;
   }
-  Pref& pref = prefs_.at(mh);
+  Pref& pref = it->second;
   // A new request resets RKpR (§3.3): the proxy will also serve this
   // request, so it must not be torn down by the Ack of the previous one.
   pref.clear_rkpr();
@@ -231,11 +228,12 @@ void Mss::handle_uplink_request(MhId mh, const MsgUplinkRequest& msg) {
 }
 
 void Mss::handle_uplink_unsubscribe(MhId mh, const MsgUnsubscribe& msg) {
-  if (!local_mhs_.contains(mh)) {
+  auto it = prefs_.find(mh);
+  if (it == prefs_.end()) {
     count("mss.stale_unsubscribe_dropped");
     return;
   }
-  const Pref& pref = prefs_.at(mh);
+  const Pref& pref = it->second;
   if (!pref.has_proxy()) {
     count("mss.unsubscribe_without_proxy");
     return;
@@ -247,7 +245,8 @@ void Mss::handle_uplink_unsubscribe(MhId mh, const MsgUnsubscribe& msg) {
 }
 
 void Mss::handle_uplink_ack(MhId mh, const MsgUplinkAck& msg) {
-  if (!local_mhs_.contains(mh)) {
+  auto pref_it = prefs_.find(mh);
+  if (pref_it == prefs_.end()) {
     // §3.1: after a dereg the old Mss ignores all further Acks from the Mh.
     count("mss.stale_ack_dropped");
     runtime_.observer.on_event({.kind = Hook::kStaleAckDropped,
@@ -267,7 +266,7 @@ void Mss::handle_uplink_ack(MhId mh, const MsgUplinkAck& msg) {
       }
     }
   }
-  Pref& pref = prefs_.at(mh);
+  Pref& pref = pref_it->second;
   if (!pref.has_proxy()) {
     // Duplicate Ack arriving after the del-proxy handshake finished.
     count("mss.ack_without_proxy");
@@ -358,18 +357,15 @@ void Mss::handle_dereg(const MsgDereg& msg, NodeAddress from) {
   // chase through intermediate Mss's (see below).
   const NodeAddress requester =
       runtime_.directory.mss_address(msg.new_mss);
-  if (local_mhs_.contains(mh)) {
+  if (auto pref_it = prefs_.find(mh); pref_it != prefs_.end()) {
     // Note on the §3.1 priority rule: Acks from this Mh that were already
     // received have been forwarded synchronously, and the event kernel
     // delivers same-instant Ack events before this dereg (EventPriority).
     // From this point on, uplink Acks from `mh` are ignored (handle_uplink_ack
     // drops them because the Mh is no longer local).
-    auto pref_it = prefs_.find(mh);
-    RDP_CHECK(pref_it != prefs_.end(), "local Mh without pref");
     runtime_.wired.send(address_, requester,
                         net::make_message<MsgDeregAck>(mh, pref_it->second));
     prefs_.erase(pref_it);
-    local_mhs_.erase(mh);
     departed_to_[mh] = requester;
     drop_cached_results(mh);
     count("mss.handoffs_out");
@@ -427,7 +423,6 @@ void Mss::handle_dereg_ack(const MsgDeregAck& msg) {
     return;
   }
 
-  local_mhs_.insert(mh);
   prefs_[mh] = msg.pref;
   departed_to_.erase(mh);
   runtime_.observer.on_event(
@@ -484,14 +479,15 @@ void Mss::handle_forward_unsubscribe(const MsgForwardUnsubscribe& msg) {
 }
 
 void Mss::handle_result_forward(const MsgResultForward& msg) {
-  if (!local_mhs_.contains(msg.mh)) {
+  auto it = prefs_.find(msg.mh);
+  if (it == prefs_.end()) {
     // The Mh migrated away (or is mid-hand-off): drop after this single
     // attempt (§5); the proxy re-sends on the next update_currentLoc.
     count("mss.result_forward_missed");
     return;
   }
   if (msg.del_pref) {
-    Pref& pref = prefs_.at(msg.mh);
+    Pref& pref = it->second;
     if (pref.has_proxy() && pref.proxy_host == msg.proxy_host &&
         pref.proxy == msg.proxy) {
       pref.rkpr = true;
@@ -534,7 +530,7 @@ void Mss::arm_result_cache_timer(MhId mh, RequestId request,
         if (outer == cached_results_.end()) return;
         auto inner = outer->second.find(std::make_pair(request, result_seq));
         if (inner == outer->second.end()) return;
-        if (!local_mhs_.contains(mh)) {
+        if (!prefs_.contains(mh)) {
           // Departed: the proxy's update_currentLoc path takes over.
           outer->second.erase(inner);
           return;
@@ -572,11 +568,12 @@ void Mss::drop_cached_results(MhId mh) {
 }
 
 void Mss::handle_del_pref(const MsgDelPref& msg) {
-  if (!local_mhs_.contains(msg.mh)) {
+  auto it = prefs_.find(msg.mh);
+  if (it == prefs_.end()) {
     count("mss.delpref_missed");
     return;
   }
-  Pref& pref = prefs_.at(msg.mh);
+  Pref& pref = it->second;
   if (pref.has_proxy() && pref.proxy_host == msg.proxy_host &&
       pref.proxy == msg.proxy) {
     pref.rkpr = true;
@@ -611,11 +608,12 @@ void Mss::handle_update_currentloc(const MsgUpdateCurrentLoc& msg) {
 }
 
 void Mss::handle_proxy_gone(const MsgProxyGone& msg) {
-  if (!local_mhs_.contains(msg.mh)) {
+  auto it = prefs_.find(msg.mh);
+  if (it == prefs_.end()) {
     count("mss.proxygone_missed");
     return;
   }
-  Pref& pref = prefs_.at(msg.mh);
+  Pref& pref = it->second;
   if (!pref.has_proxy() || pref.proxy != msg.proxy) {
     count("mss.proxygone_stale");
     return;
@@ -632,14 +630,15 @@ void Mss::handle_proxy_gone(const MsgProxyGone& msg) {
 }
 
 void Mss::handle_pref_restore(const MsgPrefRestore& msg) {
-  if (!local_mhs_.contains(msg.mh)) {
+  auto it = prefs_.find(msg.mh);
+  if (it == prefs_.end()) {
     // The Mh moved on with a null pref; the proxy stays orphaned until the
     // idle-proxy GC reclaims it (its pending requests are unrecoverable —
     // counted so experiments can report the residual window).
     count("mss.pref_restore_missed");
     return;
   }
-  Pref& pref = prefs_.at(msg.mh);
+  Pref& pref = it->second;
   if (pref.has_proxy()) {
     if (pref.proxy_host == msg.proxy_host && pref.proxy == msg.proxy) {
       // Already consistent; just defuse the stale RKpR.
@@ -664,7 +663,8 @@ void Mss::handle_pref_repair(const MsgPrefRepair& msg) {
   // under (msg.new_host, msg.new_proxy) and asks us to re-point the pref.
   // Any failure mode that leaves the adopted proxy unused must Nack it
   // back to the backup, or its pending requests hang unaccounted.
-  if (!local_mhs_.contains(msg.mh)) {
+  auto pref_it = prefs_.find(msg.mh);
+  if (pref_it == prefs_.end()) {
     if (auto it = departed_to_.find(msg.mh); it != departed_to_.end()) {
       // The Mh moved on; chase the repair to wherever the pref went.
       runtime_.wired.send(address_, it->second,
@@ -685,7 +685,7 @@ void Mss::handle_pref_repair(const MsgPrefRepair& msg) {
         net::make_message<MsgPrefRepairNack>(msg.mh, msg.new_proxy));
     return;
   }
-  Pref& pref = prefs_.at(msg.mh);
+  Pref& pref = pref_it->second;
   if (pref.has_proxy()) {
     if (pref.proxy_host == msg.new_host && pref.proxy == msg.new_proxy) {
       // Duplicate repair (lease expiry racing a transfer-resume answer).
@@ -752,7 +752,6 @@ Proxy& Mss::create_proxy(MhId mh) {
   auto proxy = std::make_unique<Proxy>(runtime_, *this, address_, id, mh);
   Proxy& ref = *proxy;
   proxies_.emplace(id, std::move(proxy));
-  ++proxies_hosted_total_;
   count("mss.proxies_created");
   // The GC timer lives only while this Mss hosts proxies, so an idle world
   // drains its event queue (run_to_quiescence terminates).
@@ -769,7 +768,6 @@ Proxy& Mss::adopt_proxy(const ProxyCheckpoint& record) {
   auto proxy = std::make_unique<Proxy>(runtime_, *this, address_, local);
   Proxy& ref = *proxy;
   proxies_.emplace(local.proxy, std::move(proxy));
-  ++proxies_hosted_total_;
   count("mss.proxies_adopted");
   if (runtime_.config.idle_proxy_gc && !gc_scheduled_) schedule_gc();
   // The adopted proxy is durable/replicated state of *this* host now.
@@ -997,14 +995,13 @@ void Mss::crash() {
   }
 
   const std::size_t proxies_lost = proxies_.size();
-  const std::size_t mhs_detached = local_mhs_.size();
+  const std::size_t mhs_detached = prefs_.size();
 
-  // Everything volatile is gone: proxies, the pref table, the local_Mhs
-  // list, in-flight hand-offs (their deregAcks will fall on deaf ears),
-  // the tombstone chain, and the footnote-3 result cache.
+  // Everything volatile is gone: proxies, the pref table (and with it the
+  // local_Mhs list), in-flight hand-offs (their deregAcks will fall on deaf
+  // ears), the tombstone chain, and the footnote-3 result cache.
   proxies_.clear();
   prefs_.clear();
-  local_mhs_.clear();
   pending_handoffs_.clear();
   pending_repairs_.clear();
   departed_to_.clear();

@@ -1,9 +1,10 @@
 // Mobile Support Station (§2, §3).
 //
-// An Mss serves one cell, keeps the `local_Mhs` list and the pref of every
-// local mobile host, hosts proxy objects, relays requests and Acks between
-// its local Mhs and their proxies, executes the Hand-off protocol of §3.2,
-// and implements the RKpR half of the proxy-deletion handshake of §3.3.
+// An Mss serves one cell, keeps the pref of every local mobile host (the
+// pref table's keys are the paper's `local_Mhs` list), hosts proxy
+// objects, relays requests and Acks between its local Mhs and their
+// proxies, executes the Hand-off protocol of §3.2, and implements the RKpR
+// half of the proxy-deletion handshake of §3.3.
 //
 // Mss's "are assumed not to fail" (§2) in the paper; this implementation
 // drops the assumption.  The fault-injection subsystem (src/fault) can
@@ -16,7 +17,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <unordered_map>
 
 #include "arq/receiver.h"
@@ -42,15 +42,9 @@ class Mss final : public net::Endpoint,
   [[nodiscard]] CellId cell() const { return cell_; }
   [[nodiscard]] NodeAddress address() const { return address_; }
 
-  // --- introspection (tests / load-balance experiment) ---
-  [[nodiscard]] std::size_t local_mh_count() const {
-    return local_mhs_.size();
-  }
-  [[nodiscard]] bool is_local(MhId mh) const { return local_mhs_.contains(mh); }
+  // --- introspection (tests) ---
+  [[nodiscard]] bool is_local(MhId mh) const { return prefs_.contains(mh); }
   [[nodiscard]] std::size_t proxy_count() const { return proxies_.size(); }
-  [[nodiscard]] std::uint64_t proxies_hosted_total() const {
-    return proxies_hosted_total_;
-  }
   [[nodiscard]] const Pref* pref_of(MhId mh) const;
   [[nodiscard]] const Proxy* proxy(ProxyId id) const;
   // Null unless RdpConfig::arq is enabled.
@@ -170,14 +164,12 @@ class Mss final : public net::Endpoint,
   // Reassembles / dedupes / acks arqData frames before dispatch_uplink.
   std::unique_ptr<arq::ArqReceiver> arq_;
 
-  std::set<MhId> local_mhs_;                     // the paper's local_Mhs
-  std::map<MhId, Pref> prefs_;                   // pref per local Mh
+  std::map<MhId, Pref> prefs_;  // pref per local Mh; keys are local_Mhs
   std::map<ProxyId, std::unique_ptr<Proxy>> proxies_;
   std::map<MhId, PendingHandoff> pending_handoffs_;
   // Where each departed Mh's pref went (to chase stale deregs, §3.2 races).
   std::unordered_map<MhId, NodeAddress> departed_to_;
   std::uint32_t next_proxy_ = 0;
-  std::uint64_t proxies_hosted_total_ = 0;
   bool gc_scheduled_ = false;
 
   // --- crash / recovery state ---
