@@ -60,7 +60,6 @@ class MipMss final : public net::Endpoint, public net::UplinkReceiver {
   [[nodiscard]] std::uint64_t registrations_handled() const {
     return registrations_;
   }
-  [[nodiscard]] std::size_t homed_mhs() const { return care_of_.size(); }
   [[nodiscard]] std::size_t stored_results() const;
   [[nodiscard]] std::uint64_t resend_bytes() const { return resend_bytes_; }
 

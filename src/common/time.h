@@ -38,7 +38,6 @@ class Duration {
 
   [[nodiscard]] constexpr std::int64_t count_micros() const { return us_; }
   [[nodiscard]] constexpr double to_seconds() const { return us_ / 1e6; }
-  [[nodiscard]] constexpr double to_millis() const { return us_ / 1e3; }
 
   friend constexpr auto operator<=>(Duration, Duration) = default;
 

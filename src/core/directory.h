@@ -150,23 +150,12 @@ class Directory {
     backups_of_[primary] = std::move(chain);
   }
 
-  // Single-backup compatibility shim: a k=1 chain.
-  void register_backup(MssId primary, MssId backup) {
-    set_backups(primary, {backup});
-  }
-
   // The primary's backup chain in shipping order; empty when the primary has
   // no backups (replication off).
   [[nodiscard]] const std::vector<MssId>& backups_of(MssId primary) const {
     static const std::vector<MssId> kNone;
     auto it = backups_of_.find(primary);
     return it == backups_of_.end() ? kNone : it->second;
-  }
-
-  // Chain head; invalid() when the primary has no backups.
-  [[nodiscard]] MssId backup_of(MssId primary) const {
-    const std::vector<MssId>& chain = backups_of(primary);
-    return chain.empty() ? MssId::invalid() : chain.front();
   }
 
   // All primaries whose chain contains `backup`, in id order (a restarted

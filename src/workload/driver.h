@@ -84,14 +84,8 @@ class HostDriver {
     request_timer_.cancel();
     activity_timer_.cancel();
     // Leave the host active so pending results can still be delivered.
-    if (!host_.active()) {
-      if (reactivate_at_stop_) host_.reactivate();
-    }
+    if (!host_.active()) host_.reactivate();
   }
-
-  // When true (default), stop() turns an inactive host back on so the
-  // drain phase can complete deliveries.
-  void set_reactivate_at_stop(bool value) { reactivate_at_stop_ = value; }
 
   // Reaction bound for the driver's timers (sim::Simulator
   // schedule_bounded).  Everything a driver timer does ends in the host
@@ -172,7 +166,6 @@ class HostDriver {
   std::optional<CellId> preset_cell_;
   Duration reaction_bound_ = Duration::zero();
   bool stopped_ = false;
-  bool reactivate_at_stop_ = true;
   sim::TimerHandle move_timer_, request_timer_, activity_timer_;
   std::uint64_t migrations_ = 0;
   std::uint64_t issued_ = 0;

@@ -45,13 +45,8 @@ class CellTopology {
 
   // Cell -> shard assignment for the sharded kernel: contiguous blocks of
   // cell ids, so a grid splits into horizontal bands and most single-step
-  // migrations stay shard-local.
-  [[nodiscard]] int shard_of(CellId cell, int shards) const {
-    return cell_shard(cell, size(), shards);
-  }
-
-  // Same mapping as a free function, for callers that know only the cell
-  // count (e.g. the world builder before the topology object exists).
+  // migrations stay shard-local.  Static: the world builder knows only the
+  // cell count.
   [[nodiscard]] static int cell_shard(CellId cell, std::size_t num_cells,
                                       int shards) {
     RDP_CHECK(shards >= 1, "need at least one shard");
