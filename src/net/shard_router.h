@@ -2,14 +2,17 @@
 //
 // In a sharded run every node (Mss, server, Mh agent) lives on exactly one
 // shard, and each shard owns private WiredNetwork / WirelessChannel
-// instances.  A send still *originates* on the sender's instance — counters,
-// FIFO bookkeeping and frame observers fire there — but the delivery event
-// is never scheduled directly: the instance hands the fully-formed arrival
-// to a ShardRouter, which buffers it for injection into the destination
-// shard at the next window barrier (sim::ShardedSimulator::post).  This
-// holds for intra-shard sends too, so the delivery order that tie-breaks on
-// the canonical (time, priority, stream, seq) key is the same no matter how
-// the nodes are partitioned.
+// instances in shard mode.  A network has one transmission path in both
+// modes: the send is counted, observed, FIFO-clamped (wired) or checked
+// for reachability (wireless) on the sender's instance.  Shard mode
+// changes two things only.  The draws come from the keyed hash below.
+// The arrival is never scheduled directly: the instance hands it to a
+// ShardRouter, which buffers it for injection into the destination shard
+// at the next window barrier (sim::ShardedSimulator::post), where it runs
+// the same deliver_injected* handler a single-kernel arrival runs.  This
+// holds for intra-shard sends too, so the delivery order that tie-breaks
+// on the canonical (time, priority, stream, seq) key is the same no matter
+// how the nodes are partitioned.
 //
 // The same partition-invariance requirement applies to randomness: a shared
 // per-network RNG would be consumed in whatever order the partitioning

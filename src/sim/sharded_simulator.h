@@ -29,7 +29,7 @@
 // events — never on which shard holds an event, because every send
 // (intra-shard included) goes through post() and every timer lives in its
 // owner's shard for any partitioning — so the barrier sequence, where
-// observer buffers are merged and state mirrors synced via barrier hooks,
+// observer buffers are merged and the wireless mirror synced via hooks,
 // is partition-invariant and runs stay bit-reproducible across shard and
 // thread counts.
 #pragma once
@@ -118,7 +118,7 @@ class ShardedSimulator {
   // Hooks run single-threaded after the mailboxes have been drained into
   // the shards; the argument is the fence time (every event strictly
   // before it has executed).  Window hooks fire at every window and are
-  // for work the protocol can see — e.g. syncing wireless state mirrors —
+  // for work the protocol can see — e.g. syncing the wireless mirror —
   // so coarsening never changes results.  Barrier hooks fire only when
   // the fence crosses the observer grid (Options::observer_interval) plus
   // once per run, and carry the expensive observability work: merging and
