@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/perf_probe.h"
@@ -62,6 +63,19 @@ void Simulator::release_slot(std::uint32_t slot) {
 
 void Simulator::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   if (!slot_live(slot, gen)) return;
+  Slot& s = slots_[slot];
+  if (s.far_list != kNear) {
+    // Far events leave at once: the list's last record fills the hole.
+    std::vector<Event>& list =
+        s.far_list == kOverflow ? overflow_ : ring_[s.far_list];
+    if (s.far_list != kOverflow) --ring_events_;
+    const std::uint32_t index = s.next_free;
+    list[index] = list.back();
+    slots_[list[index].slot].next_free = index;
+    list.pop_back();
+    if (list.empty()) std::vector<Event>().swap(list);
+    s.far_list = kNear;
+  }
   release_slot(slot);
   --live_pending_;
 }
@@ -93,15 +107,100 @@ TimerHandle Simulator::schedule_at_bounded(SimTime at, Duration reaction_bound,
   RDP_PROF_SCOPE(kTimerSlab);
   const std::uint32_t slot = acquire_slot(std::move(cb));
   const std::uint32_t gen = slots_[slot].gen;
-  queue_.push(Event{at, priority, next_seq_++, slot, gen});
-  ++live_pending_;
+  std::int64_t deadline_us = 0;
   if (track_constraints_) {
-    std::int64_t bound_us = reaction_bound.count_micros();
-    if (bound_us <= 0) bound_us = default_bound_us_;
-    constraints_.push(
-        Constraint{at.count_micros() + bound_us, slot, gen});
+    const std::int64_t bound_us = reaction_bound.count_micros();
+    deadline_us =
+        at.count_micros() + (bound_us > 0 ? bound_us : default_bound_us_);
+  }
+  const Event event{
+      at, (static_cast<std::uint64_t>(priority) << 56) | next_seq_++, slot,
+      gen, deadline_us};
+  ++live_pending_;
+  if (bucket_of(at.count_micros()) < horizon_bucket_) {
+    push_near(event);
+  } else {
+    push_far(event);
   }
   return TimerHandle(this, slot, gen);
+}
+
+void Simulator::push_far(const Event& event) {
+  const std::int64_t bucket = bucket_of(event.at.count_micros());
+  std::vector<Event>* list = &overflow_;
+  std::uint32_t list_id = kOverflow;
+  if (bucket < ring_end_) {
+    if (ring_.empty()) ring_.resize(kRingBuckets);
+    list_id = static_cast<std::uint32_t>(bucket & (kRingBuckets - 1));
+    list = &ring_[list_id];
+    ++ring_events_;
+  } else {
+    overflow_floor_ = std::min(overflow_floor_, bucket);
+  }
+  Slot& s = slots_[event.slot];
+  s.far_list = list_id;
+  s.next_free = static_cast<std::uint32_t>(list->size());
+  list->push_back(event);
+}
+
+void Simulator::set_horizon(std::int64_t bucket) {
+  horizon_bucket_ = bucket;
+  if (ring_end_ - bucket >= kRingBuckets / 2) return;
+  ring_end_ = bucket + kRingBuckets;
+  if (overflow_floor_ >= ring_end_) return;
+  std::vector<Event> still_far;
+  overflow_floor_ = kNoLimit;
+  for (const Event& event : overflow_) {
+    if (bucket_of(event.at.count_micros()) < ring_end_) {
+      push_far(event);
+    } else {
+      overflow_floor_ =
+          std::min(overflow_floor_, bucket_of(event.at.count_micros()));
+      slots_[event.slot].next_free =
+          static_cast<std::uint32_t>(still_far.size());
+      still_far.push_back(event);
+    }
+  }
+  overflow_.swap(still_far);
+}
+
+bool Simulator::pull_bucket(std::int64_t last) {
+  // Charged to the timer slab: a bucket move is the deferred half of the
+  // pushes that put its events in the far tier.
+  RDP_PROF_SCOPE(kTimerSlab);
+  while (horizon_bucket_ <= last) {
+    if (ring_events_ == 0) {
+      // Everything far is in the overflow list: jump the horizon to its
+      // earliest bucket, or past `last`.
+      std::int64_t first = kNoLimit;  // none due by `last`
+      if (!overflow_.empty() && overflow_floor_ <= last) {
+        for (const Event& event : overflow_) {
+          first = std::min(first, bucket_of(event.at.count_micros()));
+        }
+        overflow_floor_ = first;
+      }
+      if (first == kNoLimit || first > last) {
+        if (last != kNoLimit) set_horizon(last + 1);
+        return false;
+      }
+      set_horizon(first);  // brings bucket `first` into the ring
+      continue;
+    }
+    std::vector<Event>& bucket =
+        ring_[static_cast<std::size_t>(horizon_bucket_ & (kRingBuckets - 1))];
+    const bool moved = !bucket.empty();
+    if (moved) {
+      ring_events_ -= bucket.size();
+      for (const Event& event : bucket) {
+        slots_[event.slot].far_list = kNear;
+        push_near(event);
+      }
+      std::vector<Event>().swap(bucket);
+    }
+    set_horizon(horizon_bucket_ + 1);
+    if (moved) return true;
+  }
+  return false;
 }
 
 void Simulator::set_reaction_tracking(Duration default_bound) {
@@ -114,24 +213,25 @@ void Simulator::set_reaction_tracking(Duration default_bound) {
 }
 
 std::optional<SimTime> Simulator::next_constraint_time() const {
+  if (!track_constraints_) return std::nullopt;
   auto* self = const_cast<Simulator*>(this);
   auto& heap = self->constraints_;
-  while (!heap.empty()) {
-    const Constraint& top = heap.top();
-    if (slots_[top.slot].gen == top.gen) {
-      return SimTime::from_micros(top.deadline_us);
+  for (;;) {
+    while (!heap.empty() && slots_[heap.top().slot].gen != heap.top().gen) {
+      heap.pop();
     }
-    heap.pop();
+    // Far events are due at or past the horizon and their bounds are
+    // positive: a near minimum at or before the horizon is exact, and
+    // otherwise only buckets that start before it can beat it.
+    std::int64_t last = kNoLimit;
+    if (!heap.empty()) {
+      last = bucket_of(heap.top().deadline_us - 1);
+      if (last < horizon_bucket_) break;
+    }
+    if (!self->pull_bucket(last)) break;
   }
-  return std::nullopt;
-}
-
-void Simulator::skip_tombstones() {
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (slots_[top.slot].gen == top.gen) return;
-    queue_.pop();
-  }
+  if (heap.empty()) return std::nullopt;
+  return SimTime::from_micros(heap.top().deadline_us);
 }
 
 bool Simulator::execute_next() {
@@ -139,10 +239,9 @@ bool Simulator::execute_next() {
   // kernel self time is the machinery and the protocol work shows up as
   // children.
   RDP_PROF_SCOPE(kKernel);
-  skip_tombstones();
-  if (queue_.empty()) return false;
-  const Event event = queue_.top();
-  queue_.pop();
+  if (!settle_near(kNoLimit)) return false;
+  const Event event = near_.top();
+  near_.pop();
   now_ = event.at;
   // Move the callback out and release the slot *before* invoking, so a
   // callback cancelling its own handle is a harmless no-op and the slot is
@@ -172,9 +271,9 @@ std::size_t Simulator::run_until(SimTime until) {
   const ScopedProfInstall prof(prof_acc_);
   stopped_ = false;
   std::size_t count = 0;
+  const std::int64_t last = bucket_of(until.count_micros());
   while (!stopped_) {
-    skip_tombstones();
-    if (queue_.empty() || queue_.top().at > until) break;
+    if (!settle_near(last) || near_.top().at > until) break;
     if (execute_next()) ++count;
   }
   if (!stopped_ && now_ < until) now_ = until;
@@ -182,12 +281,12 @@ std::size_t Simulator::run_until(SimTime until) {
 }
 
 std::optional<SimTime> Simulator::next_event_time() const {
-  // Purging tombstones mutates only bookkeeping, never observable state,
-  // so this stays const to callers.
+  // Purging tombstones and moving buckets mutate only bookkeeping, never
+  // observable state, so this (like next_constraint_time) stays const to
+  // callers.
   auto* self = const_cast<Simulator*>(this);
-  self->skip_tombstones();
-  if (queue_.empty()) return std::nullopt;
-  return queue_.top().at;
+  if (!self->settle_near(kNoLimit)) return std::nullopt;
+  return near_.top().at;
 }
 
 }  // namespace rdp::sim

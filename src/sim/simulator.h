@@ -13,12 +13,29 @@
 // by scheduling everything at kNormal.
 //
 // Storage layout: callbacks live in a slab of generation-counted slots and
-// the priority queue holds plain-old-data event records that reference them.
+// the queue holds plain-old-data event records that reference them.
 // Scheduling an event allocates nothing beyond amortized slab/queue growth,
 // and a TimerHandle is a 16-byte value (slot index + generation) instead of
 // a shared_ptr control block.  A slot's generation is bumped every time the
 // slot is released — on cancel and on fire alike — so stale handles and
 // queue tombstones are recognized by a single integer compare.
+//
+// The queue has two tiers (a calendar-style split; Brown, "Calendar
+// Queues", CACM 31(10), 1988), so its cost follows the events due soon, not
+// the hosts' far-off timers:
+//   - the near tier, a heap ordered by (time, priority, sequence), holds the
+//     events due before the *horizon*, a bucket boundary at most one bucket
+//     past now (further only after a query had to look ahead);
+//   - the far tier holds the rest in buckets kBucketWidth wide: a ring of
+//     kRingBuckets buckets, and an overflow list for events beyond the
+//     ring's span that the ring takes in as its span moves on.
+// A far event is appended to its bucket in O(1), and a far cancel removes
+// it at once (the live slot's next_free holds its index), so the far tier
+// holds no tombstones.  Buckets move into the near heap one at a time, and
+// only when the near heap cannot answer a query alone: run_until's bound,
+// next_event_time() or next_constraint_time().  A moved bucket gives its
+// storage back.  Records keep their sequence numbers, so the order of
+// execution does not depend on when a bucket moved.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +140,11 @@ class Simulator {
   // Earliest (at + reaction bound) over all live pending events, i.e. the
   // soonest instant at which any cascade of the current pending set could
   // make a cross-shard send arrive.  nullopt when nothing is pending (or
-  // tracking is off).  Like next_event_time() this lazily purges stale
-  // records and is exact.
+  // tracking is off).  Exact, though only near-tier events are tracked:
+  // every far event is due at or past the horizon and every bound is
+  // positive, so a near minimum at or before the horizon is the minimum,
+  // and while it lies past the horizon the next bucket moves in.  Stale
+  // records are purged lazily.
   [[nodiscard]] std::optional<SimTime> next_constraint_time() const;
 
   // Run until the event queue drains or stop() is called.
@@ -147,10 +167,10 @@ class Simulator {
   // this is safe to use for quiesce detection.
   [[nodiscard]] std::size_t pending_events() const { return live_pending_; }
 
-  // Time of the next live event, if any (used by the paced runner to sleep
-  // the wall clock between events, and by the sharded kernel to skip empty
-  // lockstep windows).  Exact: cancelled tombstones are purged, not
-  // reported.
+  // Time of the next live event, if any (used by the sharded kernel to
+  // skip empty lockstep windows).  Exact: cancelled tombstones are purged,
+  // not reported, and when the near heap is empty the earliest nonempty
+  // far bucket moves in.
   [[nodiscard]] std::optional<SimTime> next_event_time() const;
 
   // Profiling (docs/PROTOCOL.md §13): while non-null, run()/run_until()/
@@ -159,6 +179,13 @@ class Simulator {
   // this kernel's tree — per shard, even when one worker thread runs
   // several shards.  Purely observational; never affects the schedule.
   void set_prof_accumulator(obs::prof::Accumulator* acc) { prof_acc_ = acc; }
+
+  // Far-tier geometry (fixed; see the header comment).  The ring spans
+  // kRingBuckets * kBucketWidth, about 134 s.
+  static constexpr int kBucketShift = 16;
+  static constexpr Duration kBucketWidth =
+      Duration::micros(std::int64_t{1} << kBucketShift);
+  static constexpr std::int64_t kRingBuckets = 2048;
 
  private:
   friend class TimerHandle;
@@ -169,21 +196,26 @@ class Simulator {
   struct Slot {
     Callback cb;
     std::uint32_t gen = 0;
+    // Free: the next free slot.  Live in the far tier: the event's index
+    // in its far list.
     std::uint32_t next_free = kNoSlot;
+    // Live in the far tier: its ring bucket, or kOverflow.  kNear otherwise.
+    std::uint32_t far_list = kNear;
   };
 
+  // One record type for both tiers.  `order` packs (priority, sequence)
+  // into one integer, so (at, order) sorts as (at, priority, sequence).
   struct Event {
     SimTime at;
-    EventPriority priority;
-    std::uint64_t seq;
+    std::uint64_t order;
     std::uint32_t slot;
     std::uint32_t gen;
+    std::int64_t deadline_us;  // at + reaction bound; 0 untracked
   };
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const {
       if (a.at != b.at) return a.at > b.at;
-      if (a.priority != b.priority) return a.priority > b.priority;
-      return a.seq > b.seq;
+      return a.order > b.order;
     }
   };
 
@@ -203,7 +235,13 @@ class Simulator {
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNear = 0xffffffffu;
+  static constexpr std::uint32_t kOverflow = 0xfffffffeu;
+  static constexpr std::int64_t kNoLimit = INT64_MAX;
 
+  [[nodiscard]] static std::int64_t bucket_of(std::int64_t us) {
+    return us >> kBucketShift;
+  }
   [[nodiscard]] bool slot_live(std::uint32_t slot, std::uint32_t gen) const {
     return slot < slots_.size() && slots_[slot].gen == gen;
   }
@@ -214,14 +252,50 @@ class Simulator {
   void release_slot(std::uint32_t slot);
   void cancel_slot(std::uint32_t slot, std::uint32_t gen);
 
+  void push_near(const Event& event) {
+    near_.push(event);
+    if (track_constraints_) {
+      constraints_.push(Constraint{event.deadline_us, event.slot, event.gen});
+    }
+  }
+  void push_far(const Event& event);
+  // Moves the earliest nonempty far bucket into the near heap if it is
+  // bucket `last` or earlier; otherwise advances the horizon past `last`
+  // (kNoLimit: leaves it) and returns false.
+  bool pull_bucket(std::int64_t last);
+  // Moves the horizon to bucket `bucket`; every far bucket before it must
+  // be empty.  When the ring's remaining span falls below half the ring,
+  // the span moves on and the overflow events it now covers join the ring.
+  void set_horizon(std::int64_t bucket);
+
   // Pop queue records whose slot generation no longer matches (cancelled
   // incarnations).  Afterwards the top, if any, is a live event.
-  void skip_tombstones();
+  void skip_tombstones() {
+    while (!near_.empty() && slots_[near_.top().slot].gen != near_.top().gen) {
+      near_.pop();
+    }
+  }
+  // Makes the near heap's top the earliest live event, moving in the first
+  // nonempty far bucket when the near heap is empty and that bucket is
+  // `last` or earlier.  False when no such event exists.
+  bool settle_near(std::int64_t last) {
+    skip_tombstones();
+    return !near_.empty() || pull_bucket(last);
+  }
   bool execute_next();
 
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
+  std::priority_queue<Event, std::vector<Event>, EventOrder> near_;
   std::priority_queue<Constraint, std::vector<Constraint>, ConstraintOrder>
       constraints_;
+  // Far tier.  Bucket b holds the events due in [b, b + 1) * kBucketWidth;
+  // buckets [horizon_bucket_, ring_end_) sit in ring_[b % kRingBuckets]
+  // (allocated on first use) and later ones in overflow_.
+  std::vector<std::vector<Event>> ring_;
+  std::vector<Event> overflow_;
+  std::int64_t horizon_bucket_ = 1;
+  std::int64_t ring_end_ = 1 + kRingBuckets;
+  std::int64_t overflow_floor_ = kNoLimit;  // <= every overflow bucket
+  std::size_t ring_events_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   SimTime now_ = SimTime::zero();
