@@ -67,11 +67,11 @@ void WiredNetwork::send(NodeAddress src, NodeAddress dst, PayloadPtr payload,
 
   // Shard mode numbers each link's messages: the number indexes the link's
   // keyed latency draws and orders the arrival among the link's others.
-  const LinkKey link{src, dst};
+  const std::uint64_t link = link_key(src, dst);
   const std::uint64_t stream_key =
       router_ != nullptr ? wired_stream_key(src, dst) : 0;
   const std::uint64_t stream_seq =
-      router_ != nullptr ? stream_seq_[link]++ : 0;
+      router_ != nullptr ? (*stream_seq_.try_emplace(link).first)++ : 0;
   common::SimTime arrival =
       now + sample_latency(stream_key, stream_seq) + fault.extra_delay;
   if (fault.extra_delay > common::Duration::zero()) {
@@ -80,11 +80,11 @@ void WiredNetwork::send(NodeAddress src, NodeAddress dst, PayloadPtr payload,
     ++faults_reordered_;
   } else {
     // Per-link FIFO: arrival times on one (src,dst) link strictly increase.
-    auto [it, fresh] = last_arrival_.try_emplace(link, arrival);
-    if (!fresh && arrival <= it->second) {
-      arrival = it->second + common::Duration::micros(1);
+    auto [last, fresh] = last_arrival_.try_emplace(link);
+    if (!fresh && arrival <= *last) {
+      arrival = *last + common::Duration::micros(1);
     }
-    it->second = arrival;
+    *last = arrival;
   }
   envelope.arrives_at = arrival;
 

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/rng.h"
 #include "net/message.h"
 #include "sim/simulator.h"
@@ -113,16 +114,10 @@ class WiredNetwork final : public WiredTransport {
   }
 
  private:
-  struct LinkKey {
-    NodeAddress src, dst;
-    bool operator==(const LinkKey&) const = default;
-  };
-  struct LinkKeyHash {
-    std::size_t operator()(const LinkKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(k.src.value()) << 32) | k.dst.value());
-    }
-  };
+  // Key of the (src, dst) link in the per-link maps.
+  static std::uint64_t link_key(NodeAddress src, NodeAddress dst) {
+    return (static_cast<std::uint64_t>(src.value()) << 32) | dst.value();
+  }
 
   // One-way latency.  Single kernel: the next draw of the network's rng.
   // Shard mode: draw `stream_seq` of the link's keyed stream `stream_key`.
@@ -135,10 +130,10 @@ class WiredNetwork final : public WiredTransport {
   ShardRouter* router_ = nullptr;  // non-null iff shard mode
   std::uint64_t draw_seed_ = 0;
   std::unordered_map<NodeAddress, Endpoint*> endpoints_;
-  std::unordered_map<LinkKey, common::SimTime, LinkKeyHash> last_arrival_;
+  common::FlatMap<common::SimTime> last_arrival_;
   // Per-link message counters, shard mode only: the counter doubles as the
   // latency draw index and the canonical stream sequence.
-  std::unordered_map<LinkKey, std::uint64_t, LinkKeyHash> stream_seq_;
+  common::FlatMap<std::uint64_t> stream_seq_;
   std::vector<SendObserver> observers_;
   FaultHook fault_hook_;
   std::uint64_t sent_ = 0;

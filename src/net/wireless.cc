@@ -190,7 +190,7 @@ void WirelessChannel::transmit(bool uplink, CellId cell, MhId mh,
     lost = rng_.bernoulli(loss);
   } else {
     key = uplink ? uplink_stream_key(mh, cell) : downlink_stream_key(cell, mh);
-    n = stream_seq_[key]++;
+    n = (*stream_seq_.try_emplace(key).first)++;
     lost = shard_draw_unit(draw_seed_, key, 2 * n) < loss;
   }
   if (lost || (drop_filter_ && drop_filter_(mh, payload, uplink))) {

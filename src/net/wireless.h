@@ -24,12 +24,12 @@
 
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time.h"
 
 #include "common/check.h"
+#include "common/flat_map.h"
 #include "common/rng.h"
 #include "net/message.h"
 #include "sim/simulator.h"
@@ -242,7 +242,7 @@ class WirelessChannel {
   // Shard mode: local state changes not yet written into the mirror.
   std::vector<MhStateDelta> pending_deltas_;
   // Per-stream draw counters (uplink/downlink loss + latency).
-  std::unordered_map<std::uint64_t, std::uint64_t> stream_seq_;
+  common::FlatMap<std::uint64_t> stream_seq_;
   std::uint64_t uplink_sent_ = 0;
   std::uint64_t uplink_dropped_ = 0;
   std::uint64_t downlink_sent_ = 0;
