@@ -6,14 +6,37 @@
 #include <string>
 #include <vector>
 
+#include "common/flat_map.h"
+
 namespace rdp::stats {
 
 // A named-counter registry.  Uses std::map so snapshots iterate in a
 // deterministic order (important for golden-output tests).
 class CounterRegistry {
  public:
+  CounterRegistry() = default;
+  // A copy shares no cache entries: they point into the source's map.
+  CounterRegistry(const CounterRegistry& other) : counters_(other.counters_) {}
+  CounterRegistry& operator=(const CounterRegistry& other) {
+    counters_ = other.counters_;
+    by_literal_ = {};
+    return *this;
+  }
+  CounterRegistry(CounterRegistry&&) = default;
+  CounterRegistry& operator=(CounterRegistry&&) = default;
+
   void increment(const std::string& name, std::uint64_t by = 1) {
     counters_[name] += by;
+  }
+  // The hot path for `increment("literal")`: the counter's address is
+  // cached by the name's pointer, so a repeat costs one hash probe and
+  // builds no string.  `name` must be a string literal (or otherwise
+  // outlive the registry and never change).
+  void increment(const char* name, std::uint64_t by = 1) {
+    const auto key = reinterpret_cast<std::uintptr_t>(name);
+    auto [counter, fresh] = by_literal_.try_emplace(key);
+    if (fresh) *counter = &counters_[name];
+    **counter += by;
   }
 
   [[nodiscard]] std::uint64_t get(const std::string& name) const {
@@ -25,10 +48,14 @@ class CounterRegistry {
     return counters_;
   }
 
-  void reset() { counters_.clear(); }
+  void reset() {
+    counters_.clear();
+    by_literal_ = {};
+  }
 
  private:
   std::map<std::string, std::uint64_t> counters_;
+  common::FlatMap<std::uint64_t*> by_literal_;
 };
 
 // Per-key tally, e.g. proxies hosted per Mss for the load-balance study.

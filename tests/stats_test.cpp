@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/ids.h"
 #include "stats/counters.h"
@@ -32,6 +33,44 @@ TEST(Counters, Reset) {
   registry.increment("x");
   registry.reset();
   EXPECT_EQ(registry.get("x"), 0u);
+}
+
+TEST(Counters, LiteralAndStringNamesShareOneCounter) {
+  static const char kName[] = "mss.requests_relayed";
+  static const char kSameText[] = "mss.requests_relayed";  // another address
+  CounterRegistry registry;
+  registry.increment(kName);
+  registry.increment(kName);
+  registry.increment(kSameText, 4);
+  registry.increment(std::string("mss.requests_relayed"), 10);
+  EXPECT_EQ(registry.get("mss.requests_relayed"), 16u);
+  EXPECT_EQ(registry.all().size(), 1u);
+}
+
+TEST(Counters, ResetForgetsCachedCounters) {
+  CounterRegistry registry;
+  registry.increment("arq.frames_delivered");
+  registry.reset();
+  registry.increment("arq.frames_delivered", 2);
+  EXPECT_EQ(registry.get("arq.frames_delivered"), 2u);
+  EXPECT_EQ(registry.all().size(), 1u);
+}
+
+TEST(Counters, CopiesCountIndependently) {
+  CounterRegistry original;
+  original.increment("arq.frames_delivered");
+  CounterRegistry copy = original;
+  copy.increment("arq.frames_delivered", 5);
+  original.increment("arq.frames_delivered");
+  EXPECT_EQ(copy.get("arq.frames_delivered"), 6u);
+  EXPECT_EQ(original.get("arq.frames_delivered"), 2u);
+
+  CounterRegistry assigned;
+  assigned.increment("arq.frames_delivered", 7);
+  assigned = original;
+  assigned.increment("arq.frames_delivered");
+  EXPECT_EQ(assigned.get("arq.frames_delivered"), 3u);
+  EXPECT_EQ(original.get("arq.frames_delivered"), 2u);
 }
 
 TEST(Tally, PerKeyCountsAndTotal) {
