@@ -1,8 +1,8 @@
 // M1 — microbenchmarks of the building blocks (google-benchmark): event
-// kernel throughput (flat and under standing queue depth), wired/causal
-// messaging cost, sharded-kernel scheduling overhead (intra-shard vs
-// cross-shard hand-off), the invariant auditor's per-request cost, and
-// whole-world simulation rates on both kernels.
+// kernel throughput (flat, under standing queue depth and under a standing
+// timer backlog), wired/causal messaging cost, sharded-kernel scheduling
+// overhead (intra-shard vs cross-shard hand-off), the invariant auditor's
+// per-request cost, and whole-world simulation rates on both kernels.
 // These bound how large a scenario the experiment binaries can afford.
 //
 // Beyond the interactive table, the binary doubles as the perf-regression
@@ -40,6 +40,7 @@
 #include "bench/bench_util.h"
 #include "causal/causal_layer.h"
 #include "common/pool_alloc.h"
+#include "common/rng.h"
 #include "core/messages.h"
 #include "harness/experiment.h"
 #include "harness/world.h"
@@ -89,6 +90,45 @@ void BM_SimulatorQueueDepth(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_SimulatorQueueDepth)->Arg(256)->Arg(4096)->Arg(65536);
+
+// A standing backlog of range(0) host timers due 1–120 s out, under a
+// stream of near-term events.  Each batch cancels and re-arms 100 of the
+// timers (the Mh dwell and re-issue watchdog pattern), schedules 1,000
+// events within 100 µs and runs 1 ms; a timer that fires re-arms itself.
+// When the kernel's cost follows the events due soon, not the backlog,
+// both sizes run at about the same rate (perf-smoke logs the ratio).
+void BM_SimulatorTimerBacklog(benchmark::State& state) {
+  constexpr int kBatch = 1000;
+  constexpr int kRearms = 100;
+  struct Backlog {
+    sim::Simulator sim;
+    common::Rng rng{7};
+    std::vector<sim::TimerHandle> timers;
+    void arm(std::size_t i) {
+      const Duration delay =
+          Duration::micros(rng.uniform_int(1'000'000, 120'000'000));
+      timers[i] = sim.schedule(delay, [this, i] { arm(i); });
+    }
+  } backlog;
+  backlog.timers.resize(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < backlog.timers.size(); ++i) backlog.arm(i);
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    for (int r = 0; r < kRearms; ++r) {
+      const auto i = static_cast<std::size_t>(backlog.rng.uniform_int(
+          0, static_cast<std::int64_t>(backlog.timers.size()) - 1));
+      backlog.timers[i].cancel();
+      backlog.arm(i);
+    }
+    for (int i = 0; i < kBatch; ++i) {
+      backlog.sim.schedule(Duration::micros(i % 100), [&sum] { ++sum; });
+    }
+    backlog.sim.run_until(backlog.sim.now() + Duration::millis(1));
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * (kBatch + kRearms));
+}
+BENCHMARK(BM_SimulatorTimerBacklog)->Arg(1000)->Arg(100000);
 
 void BM_SimulatorTimerCancel(benchmark::State& state) {
   for (auto _ : state) {
