@@ -45,7 +45,7 @@ namespace rdp::obs::prof {
 enum class Domain : int {
   kRoot = 0,      // implicit top of every stack
   kKernel,        // sim::Simulator event dispatch
-  kTimerSlab,     // slab slot acquire/release + queue push
+  kTimerSlab,     // slab slot acquire/release + queue push, bucket moves
   kNetWired,      // net::WiredNetwork send/deliver
   kNetWireless,   // net::WirelessChannel uplink/downlink/deliver
   kCausal,        // causal::CausalLayer send/deliver/buffering
