@@ -7,6 +7,8 @@
 // World, no Mss, no proxies — and drives loss with a deterministic drop
 // filter or hand-crafted acks.
 #include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -385,6 +387,107 @@ TEST_F(ArqChannelTest, NonArqUplinkPassesThrough) {
   EXPECT_EQ(mss_.plain, 1u);
   EXPECT_TRUE(mss_.delivered.empty());
   EXPECT_EQ(receiver_->channels(), 0u);
+}
+
+// --- receiver alone: two Mhs' frames fed straight in ------------------------
+
+struct AckRecorder final : net::DownlinkReceiver {
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>> acks;
+  void on_downlink(common::CellId, const net::PayloadPtr& payload) override {
+    const auto* ack = net::message_cast<core::MsgArqAck>(payload);
+    ASSERT_NE(ack, nullptr);
+    acks.emplace_back(ack->epoch, ack->cum_next, ack->sack);
+  }
+};
+
+struct SilentMss final : net::UplinkReceiver {
+  void on_uplink(common::MhId, const net::PayloadPtr&) override {}
+};
+
+// Pins what the receiver releases and every ack it sends, frame by frame,
+// for two Mhs whose frames interleave: out of order, duplicates both
+// buffered and below the cumulative point, a seq past the 64-bit SACK map,
+// a stale epoch and a new epoch that discards a buffered frame.
+TEST(ArqReceiverTest, InterleavedMhsPinReleasesAndAcks) {
+  using Ack = std::tuple<std::uint32_t, std::uint32_t, std::uint64_t>;
+  sim::Simulator simulator;
+  net::WirelessConfig radio;
+  radio.base_latency = Duration::millis(20);
+  radio.jitter = Duration::zero();
+  net::WirelessChannel wireless(simulator, common::Rng(42), radio);
+  const common::CellId cell(0);
+  SilentMss mss;
+  wireless.register_cell(cell, common::MssId(0), &mss);
+  const MhId a(7);
+  const MhId b(8);
+  AckRecorder a_radio;
+  AckRecorder b_radio;
+  for (const auto& [mh, radio_end] :
+       {std::pair{a, &a_radio}, std::pair{b, &b_radio}}) {
+    wireless.register_mh(mh, radio_end);
+    wireless.place_mh(mh, cell);
+    wireless.set_mh_active(mh, true);
+  }
+  stats::CounterRegistry counters;
+  core::RdpObserver observer;
+  arq::ArqReceiver receiver(simulator, wireless, observer, counters, cell);
+
+  // Each inner message is tagged 100 * epoch + seq, so a release names the
+  // frame it came from.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> released;
+  const auto feed = [&](MhId mh, std::uint32_t epoch, std::uint32_t seq) {
+    const std::uint32_t tag = 100 * epoch + seq;
+    const bool handled = receiver.on_uplink(
+        mh,
+        net::make_message<core::MsgArqData>(
+            epoch, seq, 1,
+            net::make_message<core::MsgUplinkAck>(RequestId(mh, tag), tag)),
+        [&](MhId from, const net::PayloadPtr& inner) {
+          const auto* app = net::message_cast<core::MsgUplinkAck>(inner);
+          ASSERT_NE(app, nullptr);
+          released.emplace_back(from.value(), app->result_seq);
+        });
+    EXPECT_TRUE(handled);
+    simulator.run();
+  };
+
+  feed(a, 1, 1);   // hole at 0: buffered
+  feed(b, 1, 0);   // released at once
+  feed(a, 1, 3);   // buffered {1, 3}
+  feed(a, 1, 1);   // duplicate of a buffered frame
+  feed(b, 1, 2);   // buffered {2}
+  feed(a, 1, 0);   // fills the hole: 0 and 1 released, 3 stays
+  feed(a, 1, 0);   // duplicate below the cumulative point
+  feed(b, 2, 0);   // new epoch: buffered 2 discarded, 0 released
+  feed(b, 1, 1);   // stale epoch: dropped, not acked
+  feed(a, 1, 2);   // 2 and 3 released
+  feed(a, 1, 70);  // beyond the SACK map: buffered, no bit
+  feed(a, 1, 5);   // buffered {5, 70}
+  feed(a, 2, 1);   // new epoch with a hole: buffered {1}
+  feed(a, 2, 0);   // 0 and 1 released
+
+  EXPECT_EQ(released,
+            (std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+                {8, 100}, {7, 100}, {7, 101}, {8, 200}, {7, 102}, {7, 103},
+                {7, 200}, {7, 201}}));
+  EXPECT_EQ(a_radio.acks, (std::vector<Ack>{{1, 0, 0b1},
+                                            {1, 0, 0b101},
+                                            {1, 0, 0b101},
+                                            {1, 2, 0b1},
+                                            {1, 2, 0b1},
+                                            {1, 4, 0},
+                                            {1, 4, 0},
+                                            {1, 4, 0b1},
+                                            {2, 0, 0b1},
+                                            {2, 2, 0}}));
+  EXPECT_EQ(b_radio.acks, (std::vector<Ack>{{1, 1, 0}, {1, 1, 0b1}, {2, 1, 0}}));
+  EXPECT_EQ(counters.get("arq.frames_delivered"), 8u);
+  EXPECT_EQ(counters.get("arq.duplicates_dropped"), 2u);
+  EXPECT_EQ(counters.get("arq.stale_frames"), 1u);
+  EXPECT_EQ(counters.get("arq.acks_sent"), 13u);
+  EXPECT_EQ(receiver.channels(), 2u);
+  receiver.clear();
+  EXPECT_EQ(receiver.channels(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // MobileHostAgent edge cases: lifecycle contract violations, outbox
 // ordering, duplicate-downlink acking, unsubscribe queueing, and behaviour
 // when power state changes mid-transit.
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "harness/metrics.h"
@@ -85,6 +88,54 @@ TEST(MobileHostForgedDownlink, DuplicateDownlinkIsAckedButNotDelivered) {
   // Both copies were acked (assumption 4) — the Mss relayed none of them
   // to a proxy (there is none) but received two acks.
   EXPECT_EQ(world.counters().get("mss.ack_without_proxy"), 2u);
+}
+
+TEST(MobileHostForgedDownlink, LateStreamResultAndResentCopyPinDeliveries) {
+  // Forged frames again (auditor off, see above).  The duplicate filter is
+  // a set of (request, result seq) pairs: a stream's non-final result that
+  // arrives after the stream's final is still new, and only a pair seen
+  // before is a duplicate.
+  auto config = testutil::deterministic_config(3, 1, 1);
+  config.telemetry.audit = false;
+  harness::World world(config);
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, bool>> seen;
+  world.mh(0).set_delivery_callback(
+      [&seen](const core::MobileHostAgent::Delivery& delivery) {
+        seen.emplace_back(delivery.request.seq(), delivery.result_seq,
+                          delivery.final);
+      });
+  auto& mh = world.mh(0);
+  mh.power_on(world.cell(0));
+  world.run_for(Duration::millis(100));
+
+  const core::RequestId stream(MhId(0), 1);
+  const core::RequestId oneshot(MhId(0), 2);
+  const auto forge = [&](core::RequestId request, std::uint32_t seq,
+                         bool final) {
+    world.wireless().downlink(
+        world.cell(0), MhId(0),
+        net::make_message<core::MsgDownlinkResult>(request, seq, final, "r",
+                                                   1));
+    world.run_for(Duration::millis(100));
+  };
+  forge(stream, 1, false);
+  forge(stream, 3, true);
+  forge(stream, 2, false);  // after the final: still delivered
+  forge(stream, 2, false);  // duplicate
+  forge(stream, 3, true);   // duplicate of the final
+  forge(oneshot, 1, true);
+  forge(oneshot, 1, true);  // re-sent copy of a completed request's result
+  world.run_to_quiescence();
+
+  EXPECT_EQ(seen, (std::vector<std::tuple<std::uint32_t, std::uint32_t, bool>>{
+                      {1, 1, false}, {1, 3, true}, {1, 2, false},
+                      {2, 1, true}}));
+  EXPECT_EQ(mh.deliveries(), 4u);
+  EXPECT_EQ(mh.duplicate_deliveries(), 3u);
+  EXPECT_EQ(world.counters().get("mh.duplicate_results"), 3u);
+  // Every copy is acked, duplicates included (assumption 4).
+  EXPECT_EQ(world.counters().get("mss.ack_without_proxy"), 7u);
+  EXPECT_EQ(mh.pending_requests(), 0u);
 }
 
 TEST_F(MobileHostUnitTest, UnsubscribeQueuedWhileInactive) {
