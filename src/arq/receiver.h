@@ -11,8 +11,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <utility>
+#include <vector>
 
+#include "common/flat_map.h"
 #include "common/ids.h"
 #include "core/events.h"
 #include "core/messages.h"
@@ -49,7 +51,7 @@ class ArqReceiver {
   // the current epoch can still be in flight — erasing the dedupe window
   // re-delivers such frames as fresh.  (The Mss keeps state across a plain
   // leave for exactly that reason and only clear()s on crash.)
-  void forget(common::MhId mh) { channels_.erase(mh); }
+  void forget(common::MhId mh) { channels_.erase(mh.value()); }
 
   // Crash: the receiver state is volatile by design.
   void clear() { channels_.clear(); }
@@ -61,9 +63,9 @@ class ArqReceiver {
     bool seen = false;
     std::uint32_t epoch = 0;
     std::uint32_t cum_next = 0;
-    // Out-of-order frames waiting for the cumulative hole to fill;
-    // keyed by seq (> cum_next).
-    std::map<std::uint32_t, net::PayloadPtr> buffered;
+    // Out-of-order frames waiting for the cumulative hole to fill, sorted
+    // by seq (each > cum_next); keeps its storage across epochs.
+    std::vector<std::pair<std::uint32_t, net::PayloadPtr>> buffered;
   };
 
   sim::Simulator& simulator_;
@@ -71,7 +73,7 @@ class ArqReceiver {
   core::RdpObserver& observer_;
   stats::CounterRegistry& counters_;
   common::CellId cell_;
-  std::map<common::MhId, Channel> channels_;
+  common::FlatMap<Channel> channels_;  // by MhId::value()
 };
 
 }  // namespace rdp::arq
