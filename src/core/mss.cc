@@ -1,6 +1,7 @@
 #include "core/mss.h"
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "obs/perf_probe.h"
@@ -17,14 +18,34 @@ Mss::Mss(Runtime& runtime, MssId id, CellId cell, NodeAddress address)
   }
 }
 
-const Pref* Mss::pref_of(MhId mh) const {
-  auto it = prefs_.find(mh);
-  return it == prefs_.end() ? nullptr : &it->second;
+namespace {
+
+// First proxy in `proxies` whose id is not below `id`.
+auto proxy_position(const std::vector<std::unique_ptr<Proxy>>& proxies,
+                    ProxyId id) {
+  return std::lower_bound(
+      proxies.begin(), proxies.end(), id,
+      [](const std::unique_ptr<Proxy>& proxy, ProxyId key) {
+        return proxy->id() < key;
+      });
 }
 
-const Proxy* Mss::proxy(ProxyId id) const {
-  auto it = proxies_.find(id);
-  return it == proxies_.end() ? nullptr : it->second.get();
+}  // namespace
+
+const Pref* Mss::pref_of(MhId mh) const { return prefs_.find(mh.value()); }
+
+const Proxy* Mss::proxy(ProxyId id) const { return find_proxy(id); }
+
+Proxy* Mss::find_proxy(ProxyId id) const {
+  const auto it = proxy_position(proxies_, id);
+  return it != proxies_.end() && (*it)->id() == id ? it->get() : nullptr;
+}
+
+void Mss::insert_proxy(std::unique_ptr<Proxy> proxy) {
+  const auto it = proxy_position(proxies_, proxy->id());
+  RDP_CHECK(it == proxies_.end() || (*it)->id() != proxy->id(),
+            "duplicate proxy id");
+  proxies_.insert(it, std::move(proxy));
 }
 
 // ---------------------------------------------------------------------------
@@ -82,22 +103,22 @@ void Mss::dispatch_uplink(MhId from, const net::PayloadPtr& payload) {
 }
 
 void Mss::handle_join(MhId mh) {
-  if (prefs_.contains(mh)) {
+  if (prefs_.contains(mh.value())) {
     // Duplicate join (our registrationAck was lost): just re-confirm.
     send_registration_ack(mh);
     return;
   }
-  if (pending_handoffs_.contains(mh)) return;  // hand-off already running
-  prefs_[mh].clear();
-  departed_to_.erase(mh);
+  if (pending_handoffs_.contains(mh.value())) return;  // hand-off running
+  prefs_.try_emplace(mh.value()).first->clear();
+  departed_to_.erase(mh.value());
   count("mss.joins");
   // A proxy restored from the checkpoint store re-binds to its Mh here:
   // this join (or a greet downgraded to a join after the crash) is the
   // first time the restarted Mss hears from the Mh again.  The
   // update_currentLoc makes the proxy re-send every unacknowledged result.
   if (auto it = restored_bindings_.find(mh); it != restored_bindings_.end()) {
-    if (proxies_.contains(it->second)) {
-      Pref& pref = prefs_[mh];
+    if (find_proxy(it->second) != nullptr) {
+      Pref& pref = *prefs_.find(mh.value());
       pref.proxy_host = address_;
       pref.proxy = it->second;
       count("mss.prefs_rebound");
@@ -117,15 +138,15 @@ void Mss::handle_join(MhId mh) {
 }
 
 void Mss::handle_leave(MhId mh) {
-  auto it = prefs_.find(mh);
-  if (it == prefs_.end()) return;
-  if (it->second.has_proxy()) {
+  const Pref* pref = prefs_.find(mh.value());
+  if (pref == nullptr) return;
+  if (pref->has_proxy()) {
     // Assumption 6 makes this benign in conforming workloads (no pending
     // requests); with a proxy still alive somewhere it becomes orphaned
     // and is only reclaimed by the idle-proxy GC extension.
     count("mss.leave_with_proxy");
   }
-  prefs_.erase(it);
+  prefs_.erase(mh.value());
   drop_cached_results(mh);
   // Deliberately NOT forgetting the ARQ channel here: retransmitted frames
   // of the final epoch can still be in flight when the leave arrives, and
@@ -135,13 +156,12 @@ void Mss::handle_leave(MhId mh) {
 }
 
 void Mss::handle_greet(MhId mh, MssId old_mss) {
-  if (auto it = prefs_.find(mh); it != prefs_.end()) {
+  if (const Pref* pref = prefs_.find(mh.value())) {
     // Re-activation in our cell (§3.1) or a duplicate greet after a lost
     // registrationAck: confirm, and let the proxy re-send anything the Mh
     // missed while inactive.
     send_registration_ack(mh);
-    const Pref& pref = it->second;
-    if (pref.has_proxy()) send_update_currentloc(mh, pref);
+    if (pref->has_proxy()) send_update_currentloc(mh, *pref);
     count("mss.greets_reactivate");
     return;
   }
@@ -152,7 +172,7 @@ void Mss::handle_greet(MhId mh, MssId old_mss) {
     // against it is wedged — its deregAck will never come).  Register the
     // Mh fresh; a checkpoint-restored proxy re-binds on the join, and the
     // re-issue watchdog recovers anything else.
-    pending_handoffs_.erase(mh);
+    pending_handoffs_.erase(mh.value());
     count("mss.greet_old_mss_down");
     handle_join(mh);
     // Transfer-resume handshake: if the dead Mss has a backup, ask it to
@@ -162,7 +182,7 @@ void Mss::handle_greet(MhId mh, MssId old_mss) {
                             ProxyId::invalid());
     return;
   }
-  if (pending_handoffs_.contains(mh)) return;  // already de-registering
+  if (pending_handoffs_.contains(mh.value())) return;  // de-registering
 
   // Hand-off (§3.2): ask the Mh's previous respMss for its pref.  Trust
   // the old Mss named in the greet; if the Mh (wrongly) believes *we* are
@@ -171,8 +191,8 @@ void Mss::handle_greet(MhId mh, MssId old_mss) {
   NodeAddress old_address;
   if (old_mss.valid() && old_mss != id_) {
     old_address = runtime_.directory.mss_address(old_mss);
-  } else if (auto it = departed_to_.find(mh); it != departed_to_.end()) {
-    old_address = it->second;
+  } else if (const NodeAddress* to = departed_to_.find(mh.value())) {
+    old_address = *to;
   } else {
     // The Mh names us as its old Mss but we do not know it: treat the
     // greet as a (re-)join with a fresh, empty pref.
@@ -181,7 +201,7 @@ void Mss::handle_greet(MhId mh, MssId old_mss) {
     return;
   }
 
-  pending_handoffs_[mh] =
+  *pending_handoffs_.try_emplace(mh.value()).first =
       PendingHandoff{old_mss, runtime_.simulator.now(), NodeAddress::invalid()};
   runtime_.observer.on_event({.kind = Hook::kHandoffStarted,
                               .at = runtime_.simulator.now(),
@@ -193,8 +213,8 @@ void Mss::handle_greet(MhId mh, MssId old_mss) {
 }
 
 void Mss::handle_uplink_request(MhId mh, const MsgUplinkRequest& msg) {
-  auto it = prefs_.find(mh);
-  if (it == prefs_.end()) {
+  Pref* pref = prefs_.find(mh.value());
+  if (pref == nullptr) {
     // The Mh de-registered between sending and delivery; RDP does not
     // retransmit requests (QRPC-style request reliability is complementary,
     // §4), so the request is lost and counted.  When the Mh re-issue
@@ -210,43 +230,41 @@ void Mss::handle_uplink_request(MhId mh, const MsgUplinkRequest& msg) {
     }
     return;
   }
-  Pref& pref = it->second;
   // A new request resets RKpR (§3.3): the proxy will also serve this
   // request, so it must not be torn down by the Ack of the previous one.
-  pref.clear_rkpr();
-  if (!pref.has_proxy()) {
+  pref->clear_rkpr();
+  if (!pref->has_proxy()) {
     Proxy& proxy = create_proxy(mh);
-    pref.proxy_host = address_;
-    pref.proxy = proxy.id();
+    pref->proxy_host = address_;
+    pref->proxy = proxy.id();
   }
   count("mss.requests_relayed");
-  route_to_proxy(pref,
-                 net::make_message<MsgForwardRequest>(mh, pref.proxy,
+  route_to_proxy(*pref,
+                 net::make_message<MsgForwardRequest>(mh, pref->proxy,
                                                       msg.request, msg.server,
                                                       msg.body, msg.stream),
                  sim::EventPriority::kNormal);
 }
 
 void Mss::handle_uplink_unsubscribe(MhId mh, const MsgUnsubscribe& msg) {
-  auto it = prefs_.find(mh);
-  if (it == prefs_.end()) {
+  const Pref* pref = prefs_.find(mh.value());
+  if (pref == nullptr) {
     count("mss.stale_unsubscribe_dropped");
     return;
   }
-  const Pref& pref = it->second;
-  if (!pref.has_proxy()) {
+  if (!pref->has_proxy()) {
     count("mss.unsubscribe_without_proxy");
     return;
   }
-  route_to_proxy(pref,
-                 net::make_message<MsgForwardUnsubscribe>(mh, pref.proxy,
+  route_to_proxy(*pref,
+                 net::make_message<MsgForwardUnsubscribe>(mh, pref->proxy,
                                                           msg.request),
                  sim::EventPriority::kNormal);
 }
 
 void Mss::handle_uplink_ack(MhId mh, const MsgUplinkAck& msg) {
-  auto pref_it = prefs_.find(mh);
-  if (pref_it == prefs_.end()) {
+  Pref* pref = prefs_.find(mh.value());
+  if (pref == nullptr) {
     // §3.1: after a dereg the old Mss ignores all further Acks from the Mh.
     count("mss.stale_ack_dropped");
     runtime_.observer.on_event({.kind = Hook::kStaleAckDropped,
@@ -257,29 +275,25 @@ void Mss::handle_uplink_ack(MhId mh, const MsgUplinkAck& msg) {
   }
   if (runtime_.config.mss_result_cache) {
     // The Mh has the result; stop the local retry loop for it.
-    if (auto it = cached_results_.find(mh); it != cached_results_.end()) {
-      auto entry = it->second.find(std::make_pair(msg.request, msg.result_seq));
-      if (entry != it->second.end()) {
-        entry->second.timer.cancel();
-        it->second.erase(entry);
-        if (it->second.empty()) cached_results_.erase(it);
-      }
+    if (CachedResult* cached = find_cached(mh, msg.request, msg.result_seq)) {
+      cached->timer.cancel();
+      cached_results_.erase(cached_results_.begin() +
+                            (cached - cached_results_.data()));
     }
   }
-  Pref& pref = pref_it->second;
-  if (!pref.has_proxy()) {
+  if (!pref->has_proxy()) {
     // Duplicate Ack arriving after the del-proxy handshake finished.
     count("mss.ack_without_proxy");
     return;
   }
   // §3.3: confirm proxy removal iff RKpR is set and this Ack is the one the
   // del-pref announcement referred to (see RdpConfig::rkpr_tracks_request).
-  bool del_proxy = pref.rkpr;
+  bool del_proxy = pref->rkpr;
   if (del_proxy && runtime_.config.rkpr_tracks_request) {
-    del_proxy = pref.rkpr_request == msg.request &&
-                pref.rkpr_seq == msg.result_seq;
+    del_proxy = pref->rkpr_request == msg.request &&
+                pref->rkpr_seq == msg.result_seq;
   }
-  const ProxyId proxy_id = pref.proxy;
+  const ProxyId proxy_id = pref->proxy;
   const net::PayloadPtr forward = net::make_message<MsgAckForward>(
       mh, proxy_id, msg.request, msg.result_seq, del_proxy);
   runtime_.observer.on_event({.kind = Hook::kAckForwarded,
@@ -289,8 +303,8 @@ void Mss::handle_uplink_ack(MhId mh, const MsgUplinkAck& msg) {
                               .seq = msg.result_seq,
                               .flag_a = del_proxy});
   count("mss.acks_relayed");
-  Pref route_copy = pref;
-  if (del_proxy) pref.clear();  // erase proxy address from pref (§3.3)
+  Pref route_copy = *pref;
+  if (del_proxy) pref->clear();  // erase proxy address from pref (§3.3)
   route_to_proxy(route_copy, forward, runtime_.ack_priority());
 }
 
@@ -318,12 +332,12 @@ void Mss::on_message(const net::Envelope& envelope) {
                  net::message_cast<MsgForwardUnsubscribe>(payload)) {
     handle_forward_unsubscribe(*m4);
   } else if (const auto* m5 = net::message_cast<MsgServerResult>(payload)) {
-    auto it = proxies_.find(m5->proxy);
-    if (it == proxies_.end()) {
+    Proxy* proxy = find_proxy(m5->proxy);
+    if (proxy == nullptr) {
       count("mss.result_for_dead_proxy");
       return;
     }
-    it->second->handle_server_result(*m5);
+    proxy->handle_server_result(*m5);
     checkpoint_proxy(m5->proxy);
   } else if (const auto* m6 = net::message_cast<MsgResultForward>(payload)) {
     handle_result_forward(*m6);
@@ -357,37 +371,37 @@ void Mss::handle_dereg(const MsgDereg& msg, NodeAddress from) {
   // chase through intermediate Mss's (see below).
   const NodeAddress requester =
       runtime_.directory.mss_address(msg.new_mss);
-  if (auto pref_it = prefs_.find(mh); pref_it != prefs_.end()) {
+  if (const Pref* pref = prefs_.find(mh.value())) {
     // Note on the §3.1 priority rule: Acks from this Mh that were already
     // received have been forwarded synchronously, and the event kernel
     // delivers same-instant Ack events before this dereg (EventPriority).
     // From this point on, uplink Acks from `mh` are ignored (handle_uplink_ack
     // drops them because the Mh is no longer local).
     runtime_.wired.send(address_, requester,
-                        net::make_message<MsgDeregAck>(mh, pref_it->second));
-    prefs_.erase(pref_it);
-    departed_to_[mh] = requester;
+                        net::make_message<MsgDeregAck>(mh, *pref));
+    prefs_.erase(mh.value());
+    *departed_to_.try_emplace(mh.value()).first = requester;
     drop_cached_results(mh);
     count("mss.handoffs_out");
     return;
   }
-  if (auto it = pending_handoffs_.find(mh); it != pending_handoffs_.end()) {
+  if (PendingHandoff* pending = pending_handoffs_.find(mh.value())) {
     // Chained migration: the Mh left for yet another cell before our own
     // hand-off finished.  Forward the pref there once it arrives.
-    it->second.chained_to = from;
+    pending->chained_to = from;
     count("mss.handoffs_chained");
     return;
   }
-  if (auto it = departed_to_.find(mh); it != departed_to_.end()) {
+  if (const NodeAddress* to = departed_to_.find(mh.value())) {
     // We already handed this Mh's pref away; chase it.  Never chase back
     // to the requester itself (that could only ping-pong).
-    if (it->second != requester) {
-      runtime_.wired.send(address_, it->second,
+    if (*to != requester) {
+      runtime_.wired.send(address_, *to,
                           net::make_message<MsgDereg>(mh, msg.new_mss));
       count("mss.deregs_chased");
       return;
     }
-    departed_to_.erase(it);
+    departed_to_.erase(mh.value());
   }
   // Unknown Mh: answer with a null pref so the new Mss can register it
   // fresh rather than deadlock waiting for a deregAck.
@@ -401,19 +415,19 @@ void Mss::handle_dereg(const MsgDereg& msg, NodeAddress from) {
 
 void Mss::handle_dereg_ack(const MsgDeregAck& msg) {
   const MhId mh = msg.mh;
-  auto it = pending_handoffs_.find(mh);
-  if (it == pending_handoffs_.end()) {
+  const PendingHandoff* found = pending_handoffs_.find(mh.value());
+  if (found == nullptr) {
     count("mss.unexpected_deregack");
     return;
   }
-  const PendingHandoff pending = it->second;
-  pending_handoffs_.erase(it);
+  const PendingHandoff pending = *found;
+  pending_handoffs_.erase(mh.value());
 
   if (pending.chained_to.valid()) {
     // The Mh has moved on: relay the pref to its newest Mss directly.
     runtime_.wired.send(address_, pending.chained_to,
                         net::make_message<MsgDeregAck>(mh, msg.pref));
-    departed_to_[mh] = pending.chained_to;
+    *departed_to_.try_emplace(mh.value()).first = pending.chained_to;
     if (auto rit = pending_repairs_.find(mh); rit != pending_repairs_.end()) {
       // A deferred repair chases the pref to the Mh's newest Mss.
       const MsgPrefRepair repair = rit->second;
@@ -423,8 +437,8 @@ void Mss::handle_dereg_ack(const MsgDeregAck& msg) {
     return;
   }
 
-  prefs_[mh] = msg.pref;
-  departed_to_.erase(mh);
+  *prefs_.try_emplace(mh.value()).first = msg.pref;
+  departed_to_.erase(mh.value());
   runtime_.observer.on_event(
       {.kind = Hook::kHandoffCompleted,
        .at = runtime_.simulator.now(),
@@ -442,7 +456,7 @@ void Mss::handle_dereg_ack(const MsgDeregAck& msg) {
     pending_repairs_.erase(rit);
     handle_pref_repair(repair);
   }
-  const Pref& pref = prefs_.at(mh);
+  const Pref pref = *prefs_.find(mh.value());
   const bool repair_rewrote = pref.proxy_host != msg.pref.proxy_host ||
                               pref.proxy != msg.pref.proxy;
   // §3.2: "responsibility for Mh is officially transferred ... and updates
@@ -454,8 +468,8 @@ void Mss::handle_dereg_ack(const MsgDeregAck& msg) {
 
 void Mss::handle_forward_request(const MsgForwardRequest& msg,
                                  NodeAddress from) {
-  auto it = proxies_.find(msg.proxy);
-  if (it == proxies_.end()) {
+  Proxy* proxy = find_proxy(msg.proxy);
+  if (proxy == nullptr) {
     // Stale pref (only possible with the GC extension or in ablations).
     count("mss.request_for_dead_proxy");
     runtime_.wired.send(address_, from,
@@ -464,35 +478,34 @@ void Mss::handle_forward_request(const MsgForwardRequest& msg,
                             msg.body, msg.stream, true));
     return;
   }
-  it->second->handle_request(msg.request, msg.server, msg.body, msg.stream);
+  proxy->handle_request(msg.request, msg.server, msg.body, msg.stream);
   checkpoint_proxy(msg.proxy);
 }
 
 void Mss::handle_forward_unsubscribe(const MsgForwardUnsubscribe& msg) {
-  auto it = proxies_.find(msg.proxy);
-  if (it == proxies_.end()) {
+  Proxy* proxy = find_proxy(msg.proxy);
+  if (proxy == nullptr) {
     count("mss.unsubscribe_for_dead_proxy");
     return;
   }
-  it->second->handle_unsubscribe(msg.request);
+  proxy->handle_unsubscribe(msg.request);
   checkpoint_proxy(msg.proxy);
 }
 
 void Mss::handle_result_forward(const MsgResultForward& msg) {
-  auto it = prefs_.find(msg.mh);
-  if (it == prefs_.end()) {
+  Pref* pref = prefs_.find(msg.mh.value());
+  if (pref == nullptr) {
     // The Mh migrated away (or is mid-hand-off): drop after this single
     // attempt (§5); the proxy re-sends on the next update_currentLoc.
     count("mss.result_forward_missed");
     return;
   }
   if (msg.del_pref) {
-    Pref& pref = it->second;
-    if (pref.has_proxy() && pref.proxy_host == msg.proxy_host &&
-        pref.proxy == msg.proxy) {
-      pref.rkpr = true;
-      pref.rkpr_request = msg.request;
-      pref.rkpr_seq = msg.result_seq;
+    if (pref->has_proxy() && pref->proxy_host == msg.proxy_host &&
+        pref->proxy == msg.proxy) {
+      pref->rkpr = true;
+      pref->rkpr_request = msg.request;
+      pref->rkpr_seq = msg.result_seq;
     } else {
       count("mss.delpref_mismatched_pref");
     }
@@ -506,52 +519,77 @@ void Mss::handle_result_forward(const MsgResultForward& msg) {
 }
 
 void Mss::cache_result(const MsgResultForward& msg) {
-  CachedResult& cached =
-      cached_results_[msg.mh][std::make_pair(msg.request, msg.result_seq)];
-  cached.body = msg.body;
-  cached.final = msg.final;
-  cached.attempt = msg.attempt;
-  cached.local_retries = 0;
+  auto it = cached_position(msg.mh, msg.request, msg.result_seq);
+  if (it == cached_results_.end() || it->mh != msg.mh ||
+      it->request != msg.request || it->result_seq != msg.result_seq) {
+    it = cached_results_.emplace(it);
+    it->mh = msg.mh;
+    it->request = msg.request;
+    it->result_seq = msg.result_seq;
+  }
+  it->body = msg.body;
+  it->final = msg.final;
+  it->attempt = msg.attempt;
+  it->local_retries = 0;
   arm_result_cache_timer(msg.mh, msg.request, msg.result_seq);
+}
+
+Mss::CachedResults::iterator Mss::cached_position(MhId mh, RequestId request,
+                                                  std::uint32_t result_seq) {
+  return std::lower_bound(
+      cached_results_.begin(), cached_results_.end(),
+      std::make_tuple(mh, request, result_seq),
+      [](const CachedResult& cached,
+         const std::tuple<MhId, RequestId, std::uint32_t>& key) {
+        return std::tie(cached.mh, cached.request, cached.result_seq) < key;
+      });
+}
+
+Mss::CachedResult* Mss::find_cached(MhId mh, RequestId request,
+                                    std::uint32_t result_seq) {
+  const auto it = cached_position(mh, request, result_seq);
+  if (it == cached_results_.end() || it->mh != mh || it->request != request ||
+      it->result_seq != result_seq) {
+    return nullptr;
+  }
+  return &*it;
 }
 
 void Mss::arm_result_cache_timer(MhId mh, RequestId request,
                                  std::uint32_t result_seq) {
-  auto mh_it = cached_results_.find(mh);
-  if (mh_it == cached_results_.end()) return;
-  auto it = mh_it->second.find(std::make_pair(request, result_seq));
-  if (it == mh_it->second.end()) return;
-  CachedResult& cached = it->second;
-  cached.timer.cancel();
-  cached.timer = runtime_.simulator.schedule(
+  CachedResult* cached = find_cached(mh, request, result_seq);
+  if (cached == nullptr) return;
+  cached->timer.cancel();
+  cached->timer = runtime_.simulator.schedule(
       runtime_.config.result_cache_retry,
       [this, mh, request, result_seq] {
-        auto outer = cached_results_.find(mh);
-        if (outer == cached_results_.end()) return;
-        auto inner = outer->second.find(std::make_pair(request, result_seq));
-        if (inner == outer->second.end()) return;
-        if (!prefs_.contains(mh)) {
+        CachedResult* entry = find_cached(mh, request, result_seq);
+        if (entry == nullptr) return;
+        const auto erase_entry = [&] {
+          cached_results_.erase(cached_results_.begin() +
+                                (entry - cached_results_.data()));
+        };
+        if (!prefs_.contains(mh.value())) {
           // Departed: the proxy's update_currentLoc path takes over.
-          outer->second.erase(inner);
+          erase_entry();
           return;
         }
-        CachedResult& entry = inner->second;
         // snapshot_*: barrier-synced view in sharded runs, so the retry
         // decision does not depend on how cells map to shards.
         if (runtime_.wireless.snapshot_mh_active(mh) &&
             runtime_.wireless.snapshot_mh_cell(mh) == std::optional(cell_)) {
-          if (++entry.local_retries >
+          if (++entry->local_retries >
               runtime_.config.result_cache_max_attempts) {
             count("mss.result_cache_gave_up");
-            outer->second.erase(inner);
+            erase_entry();
             return;
           }
           count("mss.result_cache_retries");
           runtime_.wireless.downlink(
               cell_, mh,
               net::make_message<MsgDownlinkResult>(request, result_seq,
-                                                   entry.final, entry.body,
-                                                   entry.attempt));
+                                                   entry->final, entry->body,
+                                                   entry->attempt));
         }
         // Inactive or mid-transit: don't burn an attempt, just wait
         // ("wait until the Mh becomes active again", §5 footnote 3).
@@ -561,36 +599,38 @@ void Mss::arm_result_cache_timer(MhId mh, RequestId request,
 }
 
 void Mss::drop_cached_results(MhId mh) {
-  auto it = cached_results_.find(mh);
-  if (it == cached_results_.end()) return;
-  for (auto& [key, cached] : it->second) cached.timer.cancel();
-  cached_results_.erase(it);
+  // The least RequestId (an invalid MhId sorts last).
+  const auto first = cached_position(mh, RequestId(MhId(0), 0), 0);
+  auto last = first;
+  for (; last != cached_results_.end() && last->mh == mh; ++last) {
+    last->timer.cancel();
+  }
+  cached_results_.erase(first, last);
 }
 
 void Mss::handle_del_pref(const MsgDelPref& msg) {
-  auto it = prefs_.find(msg.mh);
-  if (it == prefs_.end()) {
+  Pref* pref = prefs_.find(msg.mh.value());
+  if (pref == nullptr) {
     count("mss.delpref_missed");
     return;
   }
-  Pref& pref = it->second;
-  if (pref.has_proxy() && pref.proxy_host == msg.proxy_host &&
-      pref.proxy == msg.proxy) {
-    pref.rkpr = true;
-    pref.rkpr_request = msg.request;
-    pref.rkpr_seq = msg.result_seq;
+  if (pref->has_proxy() && pref->proxy_host == msg.proxy_host &&
+      pref->proxy == msg.proxy) {
+    pref->rkpr = true;
+    pref->rkpr_request = msg.request;
+    pref->rkpr_seq = msg.result_seq;
   } else {
     count("mss.delpref_mismatched_pref");
   }
 }
 
 void Mss::handle_ack_forward(const MsgAckForward& msg) {
-  auto it = proxies_.find(msg.proxy);
-  if (it == proxies_.end()) {
+  Proxy* proxy = find_proxy(msg.proxy);
+  if (proxy == nullptr) {
     count("mss.ack_for_dead_proxy");
     return;
   }
-  if (it->second->handle_ack(msg)) {
+  if (proxy->handle_ack(msg)) {
     delete_proxy(msg.proxy, /*via_gc=*/false);
   } else {
     checkpoint_proxy(msg.proxy);
@@ -598,64 +638,62 @@ void Mss::handle_ack_forward(const MsgAckForward& msg) {
 }
 
 void Mss::handle_update_currentloc(const MsgUpdateCurrentLoc& msg) {
-  auto it = proxies_.find(msg.proxy);
-  if (it == proxies_.end()) {
+  Proxy* proxy = find_proxy(msg.proxy);
+  if (proxy == nullptr) {
     count("mss.update_for_dead_proxy");
     return;
   }
-  it->second->handle_update_currentloc(msg.new_loc);
+  proxy->handle_update_currentloc(msg.new_loc);
   checkpoint_proxy(msg.proxy);
 }
 
 void Mss::handle_proxy_gone(const MsgProxyGone& msg) {
-  auto it = prefs_.find(msg.mh);
-  if (it == prefs_.end()) {
+  Pref* pref = prefs_.find(msg.mh.value());
+  if (pref == nullptr) {
     count("mss.proxygone_missed");
     return;
   }
-  Pref& pref = it->second;
-  if (!pref.has_proxy() || pref.proxy != msg.proxy) {
+  if (!pref->has_proxy() || pref->proxy != msg.proxy) {
     count("mss.proxygone_stale");
     return;
   }
-  pref.clear();
+  pref->clear();
   count("mss.prefs_healed");
   if (!msg.had_request) return;
   // Recreate a proxy locally and replay the request that hit the dead one.
   Proxy& proxy = create_proxy(msg.mh);
-  pref.proxy_host = address_;
-  pref.proxy = proxy.id();
+  pref->proxy_host = address_;
+  pref->proxy = proxy.id();
   proxy.handle_request(msg.request, msg.server, msg.body, msg.stream);
   checkpoint_proxy(proxy.id());
 }
 
 void Mss::handle_pref_restore(const MsgPrefRestore& msg) {
-  auto it = prefs_.find(msg.mh);
-  if (it == prefs_.end()) {
+  Pref* pref = prefs_.find(msg.mh.value());
+  if (pref == nullptr) {
     // The Mh moved on with a null pref; the proxy stays orphaned until the
     // idle-proxy GC reclaims it (its pending requests are unrecoverable —
     // counted so experiments can report the residual window).
     count("mss.pref_restore_missed");
     return;
   }
-  Pref& pref = it->second;
-  if (pref.has_proxy()) {
-    if (pref.proxy_host == msg.proxy_host && pref.proxy == msg.proxy) {
+  if (pref->has_proxy()) {
+    if (pref->proxy_host == msg.proxy_host && pref->proxy == msg.proxy) {
       // Already consistent; just defuse the stale RKpR.
-      pref.clear_rkpr();
+      pref->clear_rkpr();
     } else {
       // A different proxy was created meanwhile; the old one is orphaned.
       count("mss.pref_restore_conflict");
     }
     return;
   }
-  pref.proxy_host = msg.proxy_host;
-  pref.proxy = msg.proxy;
-  pref.clear_rkpr();
+  pref->proxy_host = msg.proxy_host;
+  pref->proxy = msg.proxy;
+  pref->clear_rkpr();
   count("mss.prefs_restored");
   // The proxy refused deletion while holding unacknowledged results; let
   // it re-deliver them to us right away.
-  send_update_currentloc(msg.mh, pref);
+  send_update_currentloc(msg.mh, *pref);
 }
 
 void Mss::handle_pref_repair(const MsgPrefRepair& msg) {
@@ -663,16 +701,16 @@ void Mss::handle_pref_repair(const MsgPrefRepair& msg) {
   // under (msg.new_host, msg.new_proxy) and asks us to re-point the pref.
   // Any failure mode that leaves the adopted proxy unused must Nack it
   // back to the backup, or its pending requests hang unaccounted.
-  auto pref_it = prefs_.find(msg.mh);
-  if (pref_it == prefs_.end()) {
-    if (auto it = departed_to_.find(msg.mh); it != departed_to_.end()) {
+  Pref* pref = prefs_.find(msg.mh.value());
+  if (pref == nullptr) {
+    if (const NodeAddress* to = departed_to_.find(msg.mh.value())) {
       // The Mh moved on; chase the repair to wherever the pref went.
-      runtime_.wired.send(address_, it->second,
+      runtime_.wired.send(address_, *to,
                           net::make_message<MsgPrefRepair>(msg));
       count("mss.pref_repairs_chased");
       return;
     }
-    if (pending_handoffs_.contains(msg.mh)) {
+    if (pending_handoffs_.contains(msg.mh.value())) {
       // The pref is still in flight towards us; apply once the deregAck
       // lands (handle_dereg_ack / handle_join drain pending_repairs_).
       pending_repairs_.insert_or_assign(msg.mh, msg);
@@ -685,15 +723,14 @@ void Mss::handle_pref_repair(const MsgPrefRepair& msg) {
         net::make_message<MsgPrefRepairNack>(msg.mh, msg.new_proxy));
     return;
   }
-  Pref& pref = pref_it->second;
-  if (pref.has_proxy()) {
-    if (pref.proxy_host == msg.new_host && pref.proxy == msg.new_proxy) {
+  if (pref->has_proxy()) {
+    if (pref->proxy_host == msg.new_host && pref->proxy == msg.new_proxy) {
       // Duplicate repair (lease expiry racing a transfer-resume answer).
-      pref.clear_rkpr();
+      pref->clear_rkpr();
       count("mss.pref_repairs_duplicate");
       return;
     }
-    if (pref.proxy_host != msg.old_host || pref.proxy != msg.old_proxy) {
+    if (pref->proxy_host != msg.old_host || pref->proxy != msg.old_proxy) {
       // The pref names a different live proxy (e.g. healed fresh after a
       // proxyGone, or rebound to a checkpoint-restored copy): keep it and
       // let the backup reclaim the adopted incarnation.
@@ -704,18 +741,18 @@ void Mss::handle_pref_repair(const MsgPrefRepair& msg) {
       return;
     }
   }
-  pref.proxy_host = msg.new_host;
-  pref.proxy = msg.new_proxy;
-  pref.clear_rkpr();
+  pref->proxy_host = msg.new_host;
+  pref->proxy = msg.new_proxy;
+  pref->clear_rkpr();
   count("mss.prefs_repaired");
   // Tell the adopted proxy where the Mh is; it re-sends every
   // unacknowledged result to us (§3.1 semantics, new incarnation).
-  send_update_currentloc(msg.mh, pref);
+  send_update_currentloc(msg.mh, *pref);
 }
 
 void Mss::handle_pref_repair_nack(const MsgPrefRepairNack& msg) {
-  auto it = proxies_.find(msg.new_proxy);
-  if (it == proxies_.end() || it->second->mh() != msg.mh) {
+  const Proxy* proxy = find_proxy(msg.new_proxy);
+  if (proxy == nullptr || proxy->mh() != msg.mh) {
     count("mss.repair_nacks_stale");
     return;
   }
@@ -724,17 +761,17 @@ void Mss::handle_pref_repair_nack(const MsgPrefRepairNack& msg) {
 }
 
 void Mss::drop_adopted_proxy(ProxyId proxy) {
-  auto it = proxies_.find(proxy);
-  if (it == proxies_.end()) return;
+  const Proxy* adopted = find_proxy(proxy);
+  if (adopted == nullptr) return;
   // Without the re-issue watchdog the adopted requests are unrecoverable
   // from this incarnation — account them before tearing it down.  (These
   // requests reached a proxy at the *old* host, so the R4 delete-host
   // bookkeeping stays consistent.)
   if (!runtime_.config.mh_reissue) {
-    for (const RequestId request : it->second->pending_requests()) {
+    for (const RequestId request : adopted->pending_requests()) {
       runtime_.observer.on_event({.kind = Hook::kRequestLost,
                                   .at = runtime_.simulator.now(),
-                                  .mh = it->second->mh(),
+                                  .mh = adopted->mh(),
                                   .request = request,
                                   .reason = RequestLossReason::kProxyGone});
     }
@@ -749,9 +786,16 @@ void Mss::drop_adopted_proxy(ProxyId proxy) {
 
 Proxy& Mss::create_proxy(MhId mh) {
   const ProxyId id{next_proxy_++};
-  auto proxy = std::make_unique<Proxy>(runtime_, *this, address_, id, mh);
+  std::unique_ptr<Proxy> proxy;
+  if (retired_proxies_.empty()) {
+    proxy = std::make_unique<Proxy>(runtime_, *this, address_, id, mh);
+  } else {
+    proxy = std::move(retired_proxies_.back());
+    retired_proxies_.pop_back();
+    proxy->reopen(id, mh);
+  }
   Proxy& ref = *proxy;
-  proxies_.emplace(id, std::move(proxy));
+  insert_proxy(std::move(proxy));
   count("mss.proxies_created");
   // The GC timer lives only while this Mss hosts proxies, so an idle world
   // drains its event queue (run_to_quiescence terminates).
@@ -767,7 +811,7 @@ Proxy& Mss::adopt_proxy(const ProxyCheckpoint& record) {
   local.proxy = ProxyId{next_proxy_++};
   auto proxy = std::make_unique<Proxy>(runtime_, *this, address_, local);
   Proxy& ref = *proxy;
-  proxies_.emplace(local.proxy, std::move(proxy));
+  insert_proxy(std::move(proxy));
   count("mss.proxies_adopted");
   if (runtime_.config.idle_proxy_gc && !gc_scheduled_) schedule_gc();
   // The adopted proxy is durable/replicated state of *this* host now.
@@ -781,7 +825,7 @@ Proxy& Mss::adopt_proxy(const ProxyCheckpoint& record) {
 std::vector<ProxyCheckpoint> Mss::checkpoint_all() const {
   std::vector<ProxyCheckpoint> out;
   out.reserve(proxies_.size());
-  for (const auto& [id, proxy] : proxies_) out.push_back(proxy->checkpoint());
+  for (const auto& proxy : proxies_) out.push_back(proxy->checkpoint());
   return out;
 }
 
@@ -812,7 +856,7 @@ void Mss::send_registration_ack(MhId mh) {
                              net::make_message<MsgRegistrationAck>(id_));
 }
 
-void Mss::send_update_currentloc(MhId mh, const Pref& pref) {
+void Mss::send_update_currentloc(MhId mh, Pref pref) {
   if (pref.proxy_host != address_) {
     const MssId host_mss = runtime_.directory.mss_at(pref.proxy_host);
     if (host_mss.valid() && !runtime_.directory.mss_up(host_mss)) {
@@ -832,12 +876,12 @@ void Mss::send_update_currentloc(MhId mh, const Pref& pref) {
                               .id_b = address_.value()});
   count("mss.update_currentloc_sent");
   if (pref.proxy_host == address_) {
-    auto it = proxies_.find(pref.proxy);
-    if (it == proxies_.end()) {
+    Proxy* proxy = find_proxy(pref.proxy);
+    if (proxy == nullptr) {
       count("mss.update_for_dead_proxy");
       return;
     }
-    it->second->handle_update_currentloc(address_);
+    proxy->handle_update_currentloc(address_);
     checkpoint_proxy(pref.proxy);
     return;
   }
@@ -880,8 +924,10 @@ std::size_t Mss::demote_proxies() {
   // requests are owned there, exactly as after a crash.  A never-shipped
   // proxy's requests die here (unless the Mh watchdog re-issues them).
   if (!runtime_.config.mh_reissue) {
-    for (const auto& [id, proxy] : proxies_) {
-      if (replication_ != nullptr && replication_->covers(id)) continue;
+    for (const auto& proxy : proxies_) {
+      if (replication_ != nullptr && replication_->covers(proxy->id())) {
+        continue;
+      }
       for (const RequestId request : proxy->pending_requests()) {
         runtime_.observer.on_event({.kind = Hook::kRequestLost,
                                     .at = runtime_.simulator.now(),
@@ -893,7 +939,7 @@ std::size_t Mss::demote_proxies() {
   }
   std::vector<ProxyId> ids;
   ids.reserve(proxies_.size());
-  for (const auto& [id, proxy] : proxies_) ids.push_back(id);
+  for (const auto& proxy : proxies_) ids.push_back(proxy->id());
   for (const ProxyId id : ids) {
     count("mss.proxies_demoted");
     delete_proxy(id, /*via_gc=*/false);
@@ -902,15 +948,19 @@ std::size_t Mss::demote_proxies() {
 }
 
 void Mss::delete_proxy(ProxyId id, bool via_gc) {
-  auto it = proxies_.find(id);
-  RDP_CHECK(it != proxies_.end(), "deleting unknown proxy");
+  const auto it = proxy_position(proxies_, id);
+  RDP_CHECK(it != proxies_.end() && (*it)->id() == id,
+            "deleting unknown proxy");
   runtime_.observer.on_event({.kind = Hook::kProxyDeleted,
                               .at = runtime_.simulator.now(),
-                              .mh = it->second->mh(),
+                              .mh = (*it)->mh(),
                               .id_a = address_.value(),
                               .id_b = id.value(),
                               .flag_a = via_gc});
   count(via_gc ? "mss.proxies_gc" : "mss.proxies_deleted");
+  // The object and its storage wait for the next create_proxy.
+  retired_proxies_.push_back(
+      std::move(proxies_[static_cast<std::size_t>(it - proxies_.begin())]));
   proxies_.erase(it);
   if (checkpoint_store_ != nullptr) checkpoint_store_->erase(id_, id);
   if (replication_ != nullptr) replication_->on_proxy_erased(id);
@@ -928,11 +978,13 @@ void Mss::schedule_gc() {
 void Mss::run_gc() {
   gc_scheduled_ = false;
   std::vector<ProxyId> dead;
-  for (const auto& [id, proxy] : proxies_) {
+  for (const auto& proxy : proxies_) {
     const common::Duration age =
         runtime_.simulator.now() - proxy->last_activity();
     if (proxy->idle()) {
-      if (age >= runtime_.config.idle_proxy_timeout) dead.push_back(id);
+      if (age >= runtime_.config.idle_proxy_timeout) {
+        dead.push_back(proxy->id());
+      }
     } else if (runtime_.config.abandoned_proxy_timeout >
                    common::Duration::zero() &&
                age >= runtime_.config.abandoned_proxy_timeout) {
@@ -946,13 +998,13 @@ void Mss::run_gc() {
                                     .reason = RequestLossReason::kMhLeft});
       }
       count("mss.proxies_abandoned");
-      dead.push_back(id);
+      dead.push_back(proxy->id());
     }
   }
   for (ProxyId id : dead) {
     runtime_.observer.on_event({.kind = Hook::kOrphanedProxy,
                                 .at = runtime_.simulator.now(),
-                                .mh = proxies_.at(id)->mh(),
+                                .mh = find_proxy(id)->mh(),
                                 .id_a = id.value()});
     delete_proxy(id, /*via_gc=*/true);
   }
@@ -974,7 +1026,8 @@ void Mss::crash() {
   // the Mh re-issue watchdog on, even an un-checkpointed request may yet
   // be recovered — the watchdog reports the loss itself if it gives up.)
   if (!runtime_.config.mh_reissue) {
-    for (const auto& [id, proxy] : proxies_) {
+    for (const auto& proxy : proxies_) {
+      const ProxyId id = proxy->id();
       if (checkpoint_store_ != nullptr &&
           checkpoint_store_->contains(id_, id)) {
         continue;
@@ -1007,9 +1060,7 @@ void Mss::crash() {
   departed_to_.clear();
   restored_bindings_.clear();
   if (replication_ != nullptr) replication_->on_host_crashed();
-  for (auto& [mh, results] : cached_results_) {
-    for (auto& [key, cached] : results) cached.timer.cancel();
-  }
+  for (CachedResult& cached : cached_results_) cached.timer.cancel();
   cached_results_.clear();
   // ARQ receiver state (epochs, cum counters, reassembly buffers) is as
   // volatile as the pref table; survivors re-sync via a fresh sender epoch
@@ -1036,7 +1087,7 @@ void Mss::restart() {
       auto proxy = std::make_unique<Proxy>(runtime_, *this, address_, record);
       Proxy& ref = *proxy;
       next_proxy_ = std::max(next_proxy_, record.proxy.value() + 1);
-      proxies_.emplace(record.proxy, std::move(proxy));
+      insert_proxy(std::move(proxy));
       restored_bindings_[record.mh] = record.proxy;
       ++restored;
       count("mss.proxies_restored");
@@ -1060,9 +1111,9 @@ void Mss::restart() {
 
 void Mss::checkpoint_proxy(ProxyId id) {
   if (checkpoint_store_ == nullptr && replication_ == nullptr) return;
-  auto it = proxies_.find(id);
-  if (it == proxies_.end()) return;
-  ProxyCheckpoint record = it->second->checkpoint();
+  const Proxy* proxy = find_proxy(id);
+  if (proxy == nullptr) return;
+  ProxyCheckpoint record = proxy->checkpoint();
   if (replication_ != nullptr) replication_->on_proxy_mutated(record);
   if (checkpoint_store_ != nullptr) {
     checkpoint_store_->put(id_, std::move(record));

@@ -18,8 +18,10 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "arq/receiver.h"
+#include "common/flat_map.h"
 #include "core/checkpoint.h"
 #include "core/messages.h"
 #include "core/proxy.h"
@@ -43,7 +45,9 @@ class Mss final : public net::Endpoint,
   [[nodiscard]] NodeAddress address() const { return address_; }
 
   // --- introspection (tests) ---
-  [[nodiscard]] bool is_local(MhId mh) const { return prefs_.contains(mh); }
+  [[nodiscard]] bool is_local(MhId mh) const {
+    return prefs_.contains(mh.value());
+  }
   [[nodiscard]] std::size_t proxy_count() const { return proxies_.size(); }
   [[nodiscard]] const Pref* pref_of(MhId mh) const;
   [[nodiscard]] const Proxy* proxy(ProxyId id) const;
@@ -106,6 +110,19 @@ class Mss final : public net::Endpoint,
     // finished; the pref is then forwarded there directly.
     NodeAddress chained_to;
   };
+  // Footnote-3 extension: one forwarded result this Mss retries locally.
+  struct CachedResult {
+    MhId mh;
+    RequestId request;
+    std::uint32_t result_seq = 0;
+    std::string body;
+    bool final = false;
+    std::uint32_t attempt = 0;      // proxy-side attempt number
+    int local_retries = 0;          // transmissions by this Mss
+    sim::TimerHandle timer;
+  };
+  using Proxies = std::vector<std::unique_ptr<Proxy>>;
+  using CachedResults = std::vector<CachedResult>;
 
   void count(const char* name) { runtime_.counters.increment(name); }
 
@@ -136,6 +153,10 @@ class Mss final : public net::Endpoint,
   void handle_pref_repair_nack(const MsgPrefRepairNack& msg);
 
   // --- helpers ---
+  // The live proxy `id`, or null.
+  [[nodiscard]] Proxy* find_proxy(ProxyId id) const;
+  // Adds a proxy to proxies_ at its place in id order.
+  void insert_proxy(std::unique_ptr<Proxy> proxy);
   Proxy& create_proxy(MhId mh);
   // Persist `id`'s current state to the checkpoint store, if wired.
   void checkpoint_proxy(ProxyId id);
@@ -143,11 +164,19 @@ class Mss final : public net::Endpoint,
                       sim::EventPriority priority);
   // Footnote-3 extension: cache a forwarded result for local retry.
   void cache_result(const MsgResultForward& msg);
+  // First cached result not below (mh, request, result_seq).
+  [[nodiscard]] CachedResults::iterator cached_position(
+      MhId mh, RequestId request, std::uint32_t result_seq);
+  // The cached result (mh, request, result_seq), or null.
+  [[nodiscard]] CachedResult* find_cached(MhId mh, RequestId request,
+                                          std::uint32_t result_seq);
   void arm_result_cache_timer(MhId mh, RequestId request,
                               std::uint32_t result_seq);
   void drop_cached_results(MhId mh);
   void send_registration_ack(MhId mh);
-  void send_update_currentloc(MhId mh, const Pref& pref);
+  // Takes the pref by value: the update can run the proxy, whose messages
+  // come back to this Mss.
+  void send_update_currentloc(MhId mh, Pref pref);
   // Ask `dead_host`'s backup (if any) to resume delivery for `mh` via a
   // prefRepair.  `old_proxy` may be invalid when only the Mh is known.
   void request_transfer_resume(MhId mh, NodeAddress dead_host,
@@ -164,11 +193,16 @@ class Mss final : public net::Endpoint,
   // Reassembles / dedupes / acks arqData frames before dispatch_uplink.
   std::unique_ptr<arq::ArqReceiver> arq_;
 
-  std::map<MhId, Pref> prefs_;  // pref per local Mh; keys are local_Mhs
-  std::map<ProxyId, std::unique_ptr<Proxy>> proxies_;
-  std::map<MhId, PendingHandoff> pending_handoffs_;
+  // The tables keyed by MhId::value() are FlatMaps, whose entries move when
+  // they grow or erase: no Pref* or other pointer into one is held across
+  // an insert into or an erase from the same table.
+  common::FlatMap<Pref> prefs_;  // pref per local Mh; keys are local_Mhs
+  Proxies proxies_;              // live proxies, by id
+  // Deleted proxy objects; create_proxy reopens one before allocating.
+  Proxies retired_proxies_;
+  common::FlatMap<PendingHandoff> pending_handoffs_;
   // Where each departed Mh's pref went (to chase stale deregs, §3.2 races).
-  std::unordered_map<MhId, NodeAddress> departed_to_;
+  common::FlatMap<NodeAddress> departed_to_;
   std::uint32_t next_proxy_ = 0;
   bool gc_scheduled_ = false;
 
@@ -186,16 +220,8 @@ class Mss final : public net::Endpoint,
   std::map<MhId, MsgPrefRepair> pending_repairs_;
 
   // Footnote-3 extension state (only populated when
-  // config.mss_result_cache is on).
-  struct CachedResult {
-    std::string body;
-    bool final = false;
-    std::uint32_t attempt = 0;      // proxy-side attempt number
-    int local_retries = 0;          // transmissions by this Mss
-    sim::TimerHandle timer;
-  };
-  std::map<MhId, std::map<std::pair<RequestId, std::uint32_t>, CachedResult>>
-      cached_results_;
+  // config.mss_result_cache is on), by (mh, request, result_seq).
+  CachedResults cached_results_;
 };
 
 }  // namespace rdp::core

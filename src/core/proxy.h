@@ -9,10 +9,15 @@
 // life), holds the `currentLoc` variable and the `requestList`, retransmits
 // unacknowledged results on every update_currentLoc, and participates in
 // the del-pref / RKpR / del-proxy deletion handshake.
+//
+// The requestList and the unacknowledged results are two sorted vectors
+// (requests by RequestId, results by (RequestId, seq)); they keep their
+// storage when entries leave, and reopen() hands a deleted proxy's storage
+// to the next proxy its host creates, so a proxy's steady-state life
+// allocates nothing.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -44,6 +49,11 @@ class Proxy {
   Proxy(const Proxy&) = delete;
   Proxy& operator=(const Proxy&) = delete;
 
+  // Start over as the new proxy `id` for `mh` at the same host, as if just
+  // constructed (emits on_proxy_created); the host calls this on a deleted
+  // proxy object to reuse its storage.
+  void reopen(ProxyId id, MhId mh);
+
   [[nodiscard]] ProxyId id() const { return id_; }
   [[nodiscard]] MhId mh() const { return mh_; }
   [[nodiscard]] NodeAddress current_loc() const { return current_loc_; }
@@ -54,7 +64,7 @@ class Proxy {
   [[nodiscard]] std::vector<RequestId> pending_requests() const {
     std::vector<RequestId> out;
     out.reserve(pending_.size());
-    for (const auto& [request, entry] : pending_) out.push_back(request);
+    for (const PendingRequest& entry : pending_) out.push_back(entry.request);
     return out;
   }
 
@@ -90,47 +100,60 @@ class Proxy {
   void requery_servers();
 
  private:
+  // A result received from the server and not yet acknowledged.
   struct StoredResult {
+    RequestId request;
     std::uint32_t seq = 0;
     bool final = false;
     std::string body;
     std::uint32_t attempts = 0;  // forward attempts so far
   };
   struct PendingRequest {
+    RequestId request;
     NodeAddress server;
     // Original request body, kept so a restored/adopted incarnation can
     // re-drive the server query when the reply died with the old host.
     std::string body;
     bool stream = false;
-    // Results received from the server and not yet acknowledged, by seq.
-    std::map<std::uint32_t, StoredResult> unacked;
     // Set once the proxy announced del-pref for this request (either
     // piggy-backed on a result forward or as a standalone MsgDelPref).
     bool del_pref_announced = false;
   };
+  using Requests = std::vector<PendingRequest>;
+  using Results = std::vector<StoredResult>;
+
+  // First request in pending_ not below `request`.
+  [[nodiscard]] Requests::iterator request_position(RequestId request);
+  // First result in unacked_ not below (request, seq).
+  [[nodiscard]] Results::iterator result_position(RequestId request,
+                                                  std::uint32_t seq);
+  // Whether `request` holds any unacknowledged result.
+  [[nodiscard]] bool has_unacked(RequestId request);
 
   void touch() { last_activity_ = runtime_.simulator.now(); }
   void send_to_mss(NodeAddress mss, net::PayloadPtr payload,
                    sim::EventPriority priority = sim::EventPriority::kNormal);
-  void forward_result(RequestId request, StoredResult& result, bool del_pref);
+  void forward_result(StoredResult& result, bool del_pref);
 
   // §3.4 / Fig 4: if exactly one request remains pending and its final
   // result has already been forwarded (so the natural piggy-back carried
   // del-pref == false), announce del-pref with a standalone message.
   void maybe_send_standalone_del_pref();
 
-  // del_pref value for forwarding `result` of `request` right now (§3.3):
-  // true iff this is the final result of the only pending request.
-  [[nodiscard]] bool compute_del_pref(const PendingRequest& entry,
-                                      const StoredResult& result) const;
+  // del_pref value for forwarding `result` right now (§3.3): true iff this
+  // is the final result of the only pending request.
+  [[nodiscard]] bool compute_del_pref(const StoredResult& result) const;
 
   Runtime& runtime_;
   ProxyHost& host_;
   const NodeAddress host_address_;
-  const ProxyId id_;
-  const MhId mh_;
+  ProxyId id_;
+  MhId mh_;
   NodeAddress current_loc_;
-  std::map<RequestId, PendingRequest> pending_;  // the paper's requestList
+  Requests pending_;  // the paper's requestList, by RequestId
+  // Every pending request's unacknowledged results, by (RequestId, seq);
+  // only pending requests hold any.
+  Results unacked_;
   common::SimTime last_activity_;
 };
 
