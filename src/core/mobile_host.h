@@ -10,14 +10,14 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "arq/sender.h"
+#include "common/flat_map.h"
 #include "core/messages.h"
 #include "core/runtime.h"
 
@@ -46,9 +46,9 @@ class MobileHostAgent final : public net::DownlinkReceiver {
   [[nodiscard]] std::optional<common::CellId> cell() const;
   [[nodiscard]] MssId resp_mss() const { return resp_mss_; }
   [[nodiscard]] std::size_t pending_requests() const {
-    return pending_requests_.size();
+    return pending_.size();
   }
-  [[nodiscard]] bool can_leave() const { return pending_requests_.empty(); }
+  [[nodiscard]] bool can_leave() const { return pending_.empty(); }
 
   void set_delivery_callback(DeliveryCallback callback) {
     delivery_callback_ = std::move(callback);
@@ -94,18 +94,27 @@ class MobileHostAgent final : public net::DownlinkReceiver {
   void on_downlink(common::CellId cell, const net::PayloadPtr& payload) override;
 
  private:
-  // Re-issue watchdog (RdpConfig::mh_reissue): enough of the original
-  // request to resend it when the respMss stays silent — the Mh-side half
-  // of the fault-tolerance extension (the respMss may have crashed and
-  // lost the pref, or the proxy may have died without a checkpoint).
-  struct PendingInfo {
+  // A request issued and not completed yet (its final result is not
+  // delivered).  While `watched`, the re-issue watchdog
+  // (RdpConfig::mh_reissue) keeps enough of it to resend it when the
+  // respMss stays silent — the Mh-side half of the fault-tolerance
+  // extension (the respMss may have crashed and lost the pref, or the
+  // proxy may have died without a checkpoint).
+  struct PendingRequest {
+    RequestId request;
+    bool watched = false;
     NodeAddress server;
     std::string body;
     bool stream = false;
     common::SimTime last_progress;
     int reissues = 0;
   };
+  using Pending = std::vector<PendingRequest>;
 
+  // The pending entry for `request`, or end().
+  [[nodiscard]] Pending::iterator find_pending(RequestId request);
+  // Whether the watchdog watches any pending request.
+  [[nodiscard]] bool watching() const;
   void send_greet_or_join();
   void arm_registration_timer();
   void arm_reissue_timer();
@@ -136,13 +145,13 @@ class MobileHostAgent final : public net::DownlinkReceiver {
   int registration_attempts_ = 0;
 
   std::uint32_t next_request_seq_ = 0;
-  std::set<RequestId> pending_requests_;
-  // Watchdog bookkeeping, keyed like pending_requests_ (mh_reissue only).
-  std::map<RequestId, PendingInfo> pending_info_;
+  // In RequestId order, which is issue order: a new request goes last.
+  Pending pending_;
   sim::TimerHandle reissue_timer_;
-  // (request, result_seq) pairs already delivered to the application
-  // (assumption 5: duplicate detection).
-  std::set<std::pair<RequestId, std::uint32_t>> delivered_;
+  // (request seq, result seq) pairs already delivered to the application,
+  // packed as seq << 32 | result seq (assumption 5: duplicate detection).
+  // Exact: every result this Mh receives is for one of its own requests.
+  common::FlatMap<common::NoValue> delivered_;
   std::deque<net::PayloadPtr> outbox_;  // requests issued while unregistered
 
   DeliveryCallback delivery_callback_;
