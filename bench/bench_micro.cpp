@@ -2,7 +2,8 @@
 // kernel throughput (flat, under standing queue depth and under a standing
 // timer backlog), wired/causal messaging cost, sharded-kernel scheduling
 // overhead (intra-shard vs cross-shard hand-off), the invariant auditor's
-// per-request cost, and whole-world simulation rates on both kernels.
+// per-request cost, the mobile host's per-result cost against its delivery
+// history, and whole-world simulation rates on both kernels.
 // These bound how large a scenario the experiment binaries can afford.
 //
 // Beyond the interactive table, the binary doubles as the perf-regression
@@ -42,6 +43,8 @@
 #include "common/pool_alloc.h"
 #include "common/rng.h"
 #include "core/messages.h"
+#include "core/mobile_host.h"
+#include "core/runtime.h"
 #include "harness/experiment.h"
 #include "harness/world.h"
 #include "net/wired.h"
@@ -548,6 +551,53 @@ void BM_AuditorRequestLifecycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AuditorRequestLifecycle)->Arg(1000)->Arg(100000);
+
+// Per-result cost of a mobile host's downlink path: the duplicate filter,
+// the delivery and the Ack's uplink, through MobileHostAgent::on_downlink
+// on a bare runtime, after range(0) results were already delivered.  Every
+// result is new (a fresh request's final).  The radio drops every uplink,
+// so the Acks schedule nothing.  When the filter's cost does not grow with
+// the host's history, both arguments run at about the same rate
+// (perf-smoke logs the ratio).
+void BM_MobileHostDeliveries(benchmark::State& state) {
+  struct DeafMss final : net::UplinkReceiver {
+    void on_uplink(common::MhId, const net::PayloadPtr&) override {}
+  };
+  sim::Simulator simulator;
+  net::WiredNetwork wired(simulator, common::Rng(1), net::WiredConfig{});
+  net::WirelessChannel wireless(simulator, common::Rng(2),
+                                net::WirelessConfig{});
+  core::Directory directory;
+  const core::RdpConfig config;
+  core::RdpObserver observer;
+  stats::CounterRegistry counters;
+  core::Runtime runtime{simulator, wired,    wireless, directory,
+                        config,    observer, counters};
+  DeafMss mss;
+  const common::CellId cell(0);
+  const common::MhId id(0);
+  wireless.register_cell(cell, common::MssId(0), &mss);
+  core::MobileHostAgent mh(runtime, id);
+  wireless.place_mh(id, cell);
+  wireless.set_mh_active(id, true);
+  wireless.set_drop_filter(
+      [](common::MhId, const net::PayloadPtr&, bool) { return true; });
+
+  std::uint32_t request = 0;
+  const auto deliver = [&] {
+    mh.on_downlink(cell, net::make_message<core::MsgDownlinkResult>(
+                             common::RequestId(id, ++request), 1, true, "r",
+                             1));
+  };
+  for (std::int64_t i = 0; i < state.range(0); ++i) deliver();
+  for (auto _ : state) deliver();
+  if (mh.duplicate_deliveries() != 0) {
+    state.SkipWithError("a new result was taken for a duplicate");
+  }
+  benchmark::DoNotOptimize(mh.deliveries());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MobileHostDeliveries)->Arg(1000)->Arg(100000);
 
 // --- baseline emission / regression gate ------------------------------
 
