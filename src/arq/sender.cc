@@ -1,5 +1,6 @@
 #include "arq/sender.h"
 
+#include <cstddef>
 #include <utility>
 
 #include "common/check.h"
@@ -45,17 +46,16 @@ std::size_t ArqSender::window_limit() const {
 void ArqSender::open() {
   open_ = true;
   ++epoch_;
-  // Everything unacked migrates back to the head of the send queue in
-  // sequence order, then the whole backlog is renumbered from 0 for the new
-  // receiver.
-  for (auto it = window_.rbegin(); it != window_.rend(); ++it) {
-    it->sacked = false;
-    it->sack_misses = 0;
-    queue_.push_front(std::move(*it));
+  // Everything unacked rejoins the head of the send queue (the window is
+  // already the frames' prefix, in sequence order), then the whole backlog
+  // is renumbered from 0 for the new receiver.
+  for (std::size_t i = 0; i < in_flight_; ++i) {
+    frames_[i].sacked = false;
+    frames_[i].sack_misses = 0;
   }
-  window_.clear();
+  in_flight_ = 0;
   next_seq_ = 0;
-  for (Frame& frame : queue_) frame.seq = next_seq_++;
+  for (Frame& frame : frames_) frame.seq = next_seq_++;
   // The registration almost certainly moved the Mh to a different cell;
   // neither the old path's RTT nor its congestion window carry over.
   estimator_ = RttEstimator(estimator_params(config_));
@@ -70,8 +70,8 @@ void ArqSender::pause() {
 
 void ArqSender::clear() {
   pause();
-  window_.clear();
-  queue_.clear();
+  frames_.clear();
+  in_flight_ = 0;
 }
 
 void ArqSender::enqueue(net::PayloadPtr inner, sim::EventPriority priority) {
@@ -81,23 +81,23 @@ void ArqSender::enqueue(net::PayloadPtr inner, sim::EventPriority priority) {
   frame.priority = priority;
   if (open_) {
     frame.seq = next_seq_++;
-    queue_.push_back(std::move(frame));
+    frames_.push_back(std::move(frame));
     pump();
   } else {
     // Sequenced at the next open()'s renumbering pass.
-    queue_.push_back(std::move(frame));
+    frames_.push_back(std::move(frame));
   }
 }
 
 void ArqSender::pump() {
-  while (open_ && !queue_.empty() && window_.size() < window_limit()) {
-    window_.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-    transmit(window_.back());
+  while (open_ && in_flight_ < frames_.size() && in_flight_ < window_limit()) {
+    ++in_flight_;
+    transmit(in_flight_ - 1);
   }
 }
 
-void ArqSender::transmit(Frame& frame) {
+void ArqSender::transmit(std::size_t index) {
+  Frame& frame = frames_[index];
   ++frame.attempt;
   frame.sent_at = simulator_.now();
   frame.sack_misses = 0;
@@ -109,29 +109,31 @@ void ArqSender::transmit(Frame& frame) {
                       .seq = frame.seq,
                       .attempt = frame.attempt,
                       .epoch = epoch_,
-                      .count_a = window_.size(),
+                      .count_a = in_flight_,
                       .count_b = window_limit()});
+  // Index again rather than hold `frame` across the observers' code: an
+  // enqueue from there would reallocate frames_.
+  const Frame& sent = frames_[index];
   wireless_.uplink(mh_,
-                   net::make_message<core::MsgArqData>(epoch_, frame.seq,
-                                                       frame.attempt,
-                                                       frame.inner),
-                   frame.priority);
+                   net::make_message<core::MsgArqData>(epoch_, sent.seq,
+                                                       sent.attempt,
+                                                       sent.inner),
+                   sent.priority);
   arm_rto();
 }
 
-ArqSender::Frame* ArqSender::oldest_unsacked() {
-  for (Frame& frame : window_) {
-    if (!frame.sacked) return &frame;
-  }
-  return nullptr;
+std::size_t ArqSender::oldest_unsacked() const {
+  std::size_t index = 0;
+  while (index < in_flight_ && frames_[index].sacked) ++index;
+  return index;
 }
 
 void ArqSender::arm_rto() {
   rto_timer_.cancel();
   if (!open_) return;
-  const Frame* oldest = oldest_unsacked();
-  if (oldest == nullptr) return;
-  const common::SimTime deadline = oldest->sent_at + estimator_.rto();
+  const std::size_t oldest = oldest_unsacked();
+  if (oldest == in_flight_) return;
+  const common::SimTime deadline = frames_[oldest].sent_at + estimator_.rto();
   common::Duration delay = deadline - simulator_.now();
   if (delay < common::Duration::zero()) delay = common::Duration::zero();
   // An RTO cascade only retransmits over the radio, so the timer carries
@@ -143,9 +145,9 @@ void ArqSender::arm_rto() {
 void ArqSender::on_rto() {
   RDP_PROF_SCOPE(kArq);
   if (!open_) return;
-  Frame* oldest = oldest_unsacked();
-  if (oldest == nullptr) return;
-  const common::SimTime deadline = oldest->sent_at + estimator_.rto();
+  const std::size_t oldest = oldest_unsacked();
+  if (oldest == in_flight_) return;
+  const common::SimTime deadline = frames_[oldest].sent_at + estimator_.rto();
   if (simulator_.now() < deadline) {
     // A retransmission moved sent_at forward since this timer was armed.
     arm_rto();
@@ -154,23 +156,19 @@ void ArqSender::on_rto() {
   counters_.increment("arq.rto_backoffs");
   estimator_.backoff();  // Karn: persists until the next clean sample
   cwnd_.on_loss();
-  if (static_cast<int>(oldest->attempt) >= config_.max_frame_retries) {
+  if (static_cast<int>(frames_[oldest].attempt) >= config_.max_frame_retries) {
     // Give up on this frame; end-to-end recovery (the re-issue watchdog)
     // owns it now.  NOTE: the receiver's cumulative counter can never pass
     // the abandoned seq, so later frames stall until the next epoch — the
     // watchdog's re-registration resets both ends.
     counters_.increment("arq.frame_gave_up");
-    for (auto it = window_.begin(); it != window_.end(); ++it) {
-      if (it->seq == oldest->seq) {
-        window_.erase(it);
-        break;
-      }
-    }
+    frames_.erase(frames_.begin() + static_cast<std::ptrdiff_t>(oldest));
+    --in_flight_;
     pump();
     arm_rto();
     return;
   }
-  transmit(*oldest);
+  transmit(oldest);
 }
 
 void ArqSender::on_ack(const core::MsgArqAck& ack) {
@@ -179,23 +177,27 @@ void ArqSender::on_ack(const core::MsgArqAck& ack) {
     counters_.increment("arq.stale_acks");
     return;
   }
-  bool newly_acked = false;
-  while (!window_.empty() && window_.front().seq < ack.cum_next) {
-    const Frame& frame = window_.front();
+  std::size_t acked = 0;
+  while (acked < in_flight_ && frames_[acked].seq < ack.cum_next) {
+    const Frame& frame = frames_[acked];
     // Karn's rule: only a first-transmission ack yields an unambiguous RTT.
     if (frame.attempt == 1) {
       estimator_.sample(simulator_.now() - frame.sent_at);
     }
     cwnd_.on_ack();
-    newly_acked = true;
-    window_.pop_front();
+    ++acked;
   }
+  frames_.erase(frames_.begin(),
+                frames_.begin() + static_cast<std::ptrdiff_t>(acked));
+  in_flight_ -= acked;
+  bool newly_acked = acked > 0;
   if (config_.mode == core::ArqMode::kSlidingWindow) {
     // Selective acks: mark survivors, then retransmit the frames the
     // receiver keeps reporting a gap in front of.
     std::uint32_t max_sacked = 0;
     bool any_sack = false;
-    for (Frame& frame : window_) {
+    for (std::size_t i = 0; i < in_flight_; ++i) {
+      Frame& frame = frames_[i];
       if (frame.seq <= ack.cum_next) continue;
       const std::uint32_t bit = frame.seq - ack.cum_next - 1;
       if (bit < 64 && ((ack.sack >> bit) & 1ull) != 0) {
@@ -209,13 +211,14 @@ void ArqSender::on_ack(const core::MsgArqAck& ack) {
       }
     }
     if (any_sack) {
-      for (Frame& frame : window_) {
+      for (std::size_t i = 0; i < in_flight_; ++i) {
+        Frame& frame = frames_[i];
         if (frame.sacked || frame.seq >= max_sacked) continue;
         if (++frame.sack_misses >= config_.fast_retransmit_misses &&
             static_cast<int>(frame.attempt) < config_.max_frame_retries) {
           counters_.increment("arq.fast_retransmits");
           cwnd_.on_loss();
-          transmit(frame);
+          transmit(i);
         }
       }
     }

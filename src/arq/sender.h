@@ -20,7 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "arq/congestion.h"
 #include "arq/rtt_estimator.h"
@@ -64,12 +64,12 @@ class ArqSender {
   void on_ack(const core::MsgArqAck& ack);
 
   [[nodiscard]] bool is_open() const { return open_; }
-  [[nodiscard]] bool idle() const {
-    return window_.empty() && queue_.empty();
-  }
+  [[nodiscard]] bool idle() const { return frames_.empty(); }
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
-  [[nodiscard]] std::size_t in_flight() const { return window_.size(); }
-  [[nodiscard]] std::size_t queued() const { return queue_.size(); }
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
+  [[nodiscard]] std::size_t queued() const {
+    return frames_.size() - in_flight_;
+  }
   [[nodiscard]] std::size_t window_limit() const;
   [[nodiscard]] const RttEstimator& estimator() const { return estimator_; }
   [[nodiscard]] const AimdWindow& congestion() const { return cwnd_; }
@@ -86,10 +86,12 @@ class ArqSender {
   };
 
   void pump();
-  void transmit(Frame& frame);
+  // Transmits frames_[index], which must lie in the window.
+  void transmit(std::size_t index);
   void arm_rto();
   void on_rto();
-  [[nodiscard]] Frame* oldest_unsacked();
+  // Index of the oldest unsacked frame in the window; in_flight_ if none.
+  [[nodiscard]] std::size_t oldest_unsacked() const;
 
   sim::Simulator& simulator_;
   net::WirelessChannel& wireless_;
@@ -103,8 +105,11 @@ class ArqSender {
   bool open_ = false;
   std::uint32_t epoch_ = 0;
   std::uint32_t next_seq_ = 0;
-  std::deque<Frame> window_;  // transmitted, unacked; ascending seq
-  std::deque<Frame> queue_;   // not yet transmitted; ascending seq
+  // Every pending frame in ascending seq: the first in_flight_ are the
+  // window (transmitted, unacked), the rest the send queue.  The storage is
+  // kept across acks and epochs, so a steady stream allocates nothing.
+  std::vector<Frame> frames_;
+  std::size_t in_flight_ = 0;
   sim::TimerHandle rto_timer_;
 };
 
