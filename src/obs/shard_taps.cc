@@ -114,6 +114,30 @@ SortKey sort_key(const core::Event& e) {
   }
 }
 
+// One record class's pass at a barrier: a compact key per buffered record
+// (its sort fields plus its (shard, pos) coordinates), a sort that moves
+// only the keys, a replay of the records in key order, then empty buffers.
+// `records` names the class's vector in each buffer; `keys` is the
+// merger's retained key vector, so a steady-state pass allocates nothing.
+template <typename Record, typename Key, typename MakeKey, typename Less,
+          typename Replay>
+void merge_class(const std::vector<ShardObserverBuffer*>& buffers,
+                 std::vector<Record> ShardObserverBuffer::*records,
+                 std::vector<Key>& keys, MakeKey make_key, Less less,
+                 Replay replay) {
+  keys.clear();
+  for (std::int32_t s = 0; s < static_cast<std::int32_t>(buffers.size());
+       ++s) {
+    const std::vector<Record>& list = buffers[s]->*records;
+    for (std::uint32_t i = 0; i < list.size(); ++i) {
+      keys.push_back(make_key(list[i], s, i));
+    }
+  }
+  std::sort(keys.begin(), keys.end(), less);
+  for (const Key& key : keys) replay((buffers[key.shard]->*records)[key.pos]);
+  for (ShardObserverBuffer* buffer : buffers) (buffer->*records).clear();
+}
+
 }  // namespace
 
 void ShardObserverBuffer::on_wired_send(const net::Envelope& envelope) {
@@ -144,82 +168,54 @@ void ShardTapMerger::flush() {
   // count added below is one per replayed record, so the domain's count
   // reads as fan-outs performed, not barriers crossed.
   RDP_PROF_SCOPE_NOCOUNT(kHookFanout);
-  // The sorts move only the compact keys; records stay in their buffers
-  // and are replayed through their (shard, pos) coordinates.
   // Wired sends first, then frames, then events (see header).
-  wired_keys_.clear();
-  for (int s = 0; s < static_cast<int>(buffers_.size()); ++s) {
-    const auto& records = buffers_[s]->wired_;
-    for (std::uint32_t i = 0; i < records.size(); ++i) {
-      wired_keys_.push_back(WiredKey{records[i].envelope.sent_at,
-                                     records[i].link_key, records[i].idx, s,
-                                     i});
-    }
-  }
-  std::sort(wired_keys_.begin(), wired_keys_.end(),
-            [](const WiredKey& a, const WiredKey& b) {
-              if (a.sent_at != b.sent_at) return a.sent_at < b.sent_at;
-              if (a.link_key != b.link_key) return a.link_key < b.link_key;
-              return a.idx < b.idx;
-            });
-  if (wired_sink_) {
-    for (const auto& key : wired_keys_) {
-      wired_sink_(buffers_[key.shard]->wired_[key.pos].envelope);
-    }
-  }
-  for (auto* buffer : buffers_) buffer->wired_.clear();
-
-  frame_keys_.clear();
-  for (int s = 0; s < static_cast<int>(buffers_.size()); ++s) {
-    const auto& records = buffers_[s]->frames_;
-    for (std::uint32_t i = 0; i < records.size(); ++i) {
-      frame_keys_.push_back(FrameKey{records[i].at, records[i].idx,
-                                     records[i].mh, s, i, records[i].uplink,
-                                     records[i].phase});
-    }
-  }
-  std::sort(frame_keys_.begin(), frame_keys_.end(),
-            [](const FrameKey& a, const FrameKey& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if (a.mh != b.mh) return a.mh < b.mh;
-              if (a.uplink != b.uplink) return b.uplink;  // downlink first
-              if (a.phase != b.phase) return a.phase < b.phase;
-              if (a.shard != b.shard) return a.shard < b.shard;
-              return a.idx < b.idx;
-            });
-  if (frame_sink_) {
-    for (const auto& key : frame_keys_) {
-      const auto& record = buffers_[key.shard]->frames_[key.pos];
-      frame_sink_(record.at, record.mh, record.payload, record.uplink,
-                  record.phase);
-    }
-  }
-  for (auto* buffer : buffers_) buffer->frames_.clear();
-
-  hook_keys_.clear();
-  for (int s = 0; s < static_cast<int>(buffers_.size()); ++s) {
-    const auto& records = buffers_[s]->events_;
-    for (std::uint32_t i = 0; i < records.size(); ++i) {
-      const SortKey key = sort_key(records[i].event);
-      hook_keys_.push_back(HookKey{records[i].event.at, key.tag, key.tag2,
-                                   records[i].idx, key.rank, s, i});
-    }
-  }
-  std::sort(hook_keys_.begin(), hook_keys_.end(),
-            [](const HookKey& a, const HookKey& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if (a.tag != b.tag) return a.tag < b.tag;
-              if (a.rank != b.rank) return a.rank < b.rank;
-              if (a.tag2 != b.tag2) return a.tag2 < b.tag2;
-              if (a.shard != b.shard) return a.shard < b.shard;
-              return a.idx < b.idx;
-            });
-  if (hook_sink_ != nullptr) {
-    for (const auto& key : hook_keys_) {
-      hook_sink_->on_event(buffers_[key.shard]->events_[key.pos].event);
-    }
-  }
-  for (auto* buffer : buffers_) buffer->events_.clear();
+  using Buffer = ShardObserverBuffer;
+  merge_class(
+      buffers_, &Buffer::wired_, wired_keys_,
+      [](const Buffer::BufferedWiredSend& r, std::int32_t s, std::uint32_t i) {
+        return WiredKey{r.envelope.sent_at, r.link_key, r.idx, s, i};
+      },
+      [](const WiredKey& a, const WiredKey& b) {
+        if (a.sent_at != b.sent_at) return a.sent_at < b.sent_at;
+        if (a.link_key != b.link_key) return a.link_key < b.link_key;
+        return a.idx < b.idx;
+      },
+      [this](const Buffer::BufferedWiredSend& r) {
+        if (wired_sink_) wired_sink_(r.envelope);
+      });
+  merge_class(
+      buffers_, &Buffer::frames_, frame_keys_,
+      [](const Buffer::BufferedFrame& r, std::int32_t s, std::uint32_t i) {
+        return FrameKey{r.at, r.idx, r.mh, s, i, r.uplink, r.phase};
+      },
+      [](const FrameKey& a, const FrameKey& b) {
+        if (a.at != b.at) return a.at < b.at;
+        if (a.mh != b.mh) return a.mh < b.mh;
+        if (a.uplink != b.uplink) return b.uplink;  // downlink first
+        if (a.phase != b.phase) return a.phase < b.phase;
+        if (a.shard != b.shard) return a.shard < b.shard;
+        return a.idx < b.idx;
+      },
+      [this](const Buffer::BufferedFrame& r) {
+        if (frame_sink_) frame_sink_(r.at, r.mh, r.payload, r.uplink, r.phase);
+      });
+  merge_class(
+      buffers_, &Buffer::events_, hook_keys_,
+      [](const Buffer::BufferedEvent& r, std::int32_t s, std::uint32_t i) {
+        const SortKey key = sort_key(r.event);
+        return HookKey{r.event.at, key.tag, key.tag2, r.idx, key.rank, s, i};
+      },
+      [](const HookKey& a, const HookKey& b) {
+        if (a.at != b.at) return a.at < b.at;
+        if (a.tag != b.tag) return a.tag < b.tag;
+        if (a.rank != b.rank) return a.rank < b.rank;
+        if (a.tag2 != b.tag2) return a.tag2 < b.tag2;
+        if (a.shard != b.shard) return a.shard < b.shard;
+        return a.idx < b.idx;
+      },
+      [this](const Buffer::BufferedEvent& r) {
+        if (hook_sink_ != nullptr) hook_sink_->on_event(r.event);
+      });
 
   RDP_PROF_ADD_COUNT(wired_keys_.size() + frame_keys_.size() +
                      hook_keys_.size());
