@@ -24,6 +24,7 @@ harness::ScenarioConfig fig4_config() {
   config.num_mh = 1;
   config.num_servers = 0;
   config.telemetry.trace = true;  // timeline + optional --trace export
+  config.cost.enabled = true;      // per-type wired message counts
   config.wired.base_latency = Duration::millis(5);
   config.wired.jitter = Duration::zero();
   config.wireless.base_latency = Duration::millis(20);
@@ -43,11 +44,12 @@ NodeAddress add_server(harness::World& world, Duration service_time) {
   return server.address();
 }
 
-// Wire messages are tallied by the world's metrics registry
-// ("net.wired.messages" labeled by payload type); no hand-rolled log.
+// Wire messages are tallied by the world's cost ledger (wired frames per
+// payload type name); no hand-rolled log.
 std::uint64_t wire_count(harness::World& world, const std::string& type) {
-  return world.telemetry().registry().counter_value("net.wired.messages",
-                                                    {{"type", type}});
+  const auto counts = world.cost_ledger()->wired_message_counts();
+  const auto it = counts.find(type);
+  return it == counts.end() ? 0 : it->second;
 }
 
 void main_flow(const benchutil::BenchOptions& artifacts) {

@@ -25,8 +25,8 @@ namespace rdp::benchutil {
 //   --replication=MODE  proxy replication mode (off|async|sync) for binaries
 //                       with a replicated variant; others ignore it
 //   --ledger out.csv    write the cost ledger's per-purpose-class table as
-//                       CSV (plus a .json sibling with message-level
-//                       detail) for binaries that run the ledger
+//                       CSV (plus a .json sibling with the same per-class
+//                       data) for binaries that run the ledger
 //   --energy-per-byte X wireless transmit cost per byte for the ledger's
 //                       energy model (receive is charged at half this)
 //   --analyzer          run the passive wire analyzer (docs/PROTOCOL.md §12)

@@ -75,13 +75,6 @@ Instruments::~Instruments() {
 }
 
 void Instruments::on_wired_send(const net::Envelope& envelope) {
-  const char* name = envelope.payload->name();
-  auto [it, inserted] = wired_by_type_.try_emplace(name, nullptr);
-  if (inserted) {
-    it->second =
-        &telemetry_.registry().counter("net.wired.messages", {{"type", name}});
-  }
-  it->second->increment();
   if (cost_ledger_) cost_ledger_->on_wired_send(envelope);
   if (tap_) tap_->on_wired_send(envelope);
 }

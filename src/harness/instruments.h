@@ -1,21 +1,22 @@
 // The observability consumers a world owns, built once for both kernels.
 //
 // An Instruments object holds the telemetry bundle (flight recorder, span
-// tracer, invariant auditor, metrics registry), the per-type
-// "net.wired.messages" counter, the cost ledger and the passive wire
-// analyzer with its tap, each selected by the ScenarioConfig.  The world
-// feeds it through two entry points: every wired send and every radio
-// frame.  World calls them from its networks' observers as things happen;
-// ShardedWorld calls them from the shard-tap merger's canonical replay at
-// observer barriers.  Destroying the instruments reports any auditor or
-// analyzer violations on stderr.
+// tracer, invariant auditor, metrics registry), the cost ledger and the
+// passive wire analyzer with its tap, each selected by the ScenarioConfig.
+// Per-type wired message counts come from the ledger alone
+// (CostLedger::wired_message_counts); the registry keeps no per-type
+// series of its own.  The world feeds the instruments through two entry
+// points: every wired send and every radio frame.  World calls them from
+// its networks' observers as things happen; ShardedWorld calls them from
+// the shard-tap merger's canonical replay at observer barriers.
+// Destroying the instruments reports any auditor or analyzer violations
+// on stderr.
 //
 // It lives in the harness, not in src/obs, because the analyzer library
 // itself depends on src/obs.
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
 #include "analyzer/analyzer.h"
 #include "analyzer/wire_tap.h"
@@ -57,9 +58,6 @@ class Instruments {
 
  private:
   obs::Telemetry telemetry_;
-  // One counter per payload type name, resolved at its first sighting.
-  std::unordered_map<const char*, obs::MetricsRegistry::Counter*>
-      wired_by_type_;
   std::unique_ptr<obs::CostLedger> cost_ledger_;
   std::unique_ptr<analyzer::Analyzer> analyzer_;
   std::unique_ptr<analyzer::WireTap> tap_;

@@ -58,9 +58,10 @@ struct ScenarioConfig {
   // scenarios only need to touch this for the opt-in pieces.
   obs::TelemetryConfig telemetry;
   // Wire-level byte/energy accounting (off by default: it meters every
-  // frame).  When enabled both networks feed one obs::CostLedger, which
-  // mirrors drain into telemetry().registry() as the rdp.cost.* /
-  // rdp.energy.* series.
+  // frame).  When enabled both networks feed one obs::CostLedger, the one
+  // source of per-type wired message counts and per-Mh energy; it mirrors
+  // run-level totals into telemetry().registry() as the rdp.cost.* counters
+  // and the rdp.energy.spent_total / rdp.energy.remaining_min gauges.
   obs::CostConfig cost;
   // Passive wire analyzer (off by default: it re-encodes and decodes every
   // frame).  When enabled an analyzer::WireTap sees both networks and the
@@ -110,8 +111,8 @@ class World {
     return membership_.get();
   }
   // Observability bundle (always present; individual components follow
-  // config().telemetry).  Labeled wire-message counters land in
-  // telemetry().registry() under "net.wired.messages"{type=...}.
+  // config().telemetry).  Per-type wired message counts are the cost
+  // ledger's (cost_ledger()->wired_message_counts()), not a registry series.
   [[nodiscard]] obs::Telemetry& telemetry() {
     return instruments_.telemetry();
   }

@@ -1,14 +1,12 @@
 #include "obs/cost_ledger.h"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 #include <string_view>
 #include <typeinfo>
 
 #include "baseline/messages.h"
 #include "common/check.h"
-#include "common/log.h"
 #include "core/messages.h"
 #include "obs/perf_probe.h"
 
@@ -231,28 +229,18 @@ void CostLedger::charge(common::MhId mh, PurposeClass purpose, double amount) {
   if (amount <= 0) return;
   RDP_CHECK(mh.valid(), "energy charged to an invalid Mh id");
   if (mh.value() >= energy_.size()) energy_.resize(mh.value() + 1);
-  MhEnergy& energy = energy_[mh.value()];
-  energy.spent += amount;
+  double& spent = energy_[mh.value()];
+  spent += amount;
   energy_total_ += amount;
   class_energy_[static_cast<int>(purpose)] += amount;
-  if (energy.spent > max_spent_) max_spent_ = energy.spent;
+  if (spent > max_spent_) max_spent_ = spent;
 
   if (registry_ != nullptr) {
-    if (energy.spent_gauge == nullptr) {
-      energy.spent_gauge =
-          &registry_->gauge("rdp.energy.spent", {{"mh", mh.str()}});
-    }
-    energy.spent_gauge->set(energy.spent);
     if (spent_total_gauge_ == nullptr) {
       spent_total_gauge_ = &registry_->gauge("rdp.energy.spent_total");
     }
     spent_total_gauge_->set(energy_total_);
     if (config_.energy.budget > 0) {
-      if (energy.remaining_gauge == nullptr) {
-        energy.remaining_gauge =
-            &registry_->gauge("rdp.energy.remaining", {{"mh", mh.str()}});
-      }
-      energy.remaining_gauge->set(config_.energy.budget - energy.spent);
       if (remaining_min_gauge_ == nullptr) {
         remaining_min_gauge_ = &registry_->gauge("rdp.energy.remaining_min");
       }
@@ -359,19 +347,9 @@ std::map<std::string, std::uint64_t> CostLedger::wired_message_counts() const {
   return counts;
 }
 
-std::uint64_t CostLedger::frames(LinkKind link) const {
-  std::uint64_t total = 0;
-  for (int c = 0; c < kPurposeClassCount; ++c) {
-    total += class_cell(link, static_cast<PurposeClass>(c)).frames;
-  }
-  return total;
-}
-
 double CostLedger::energy_spent(common::MhId mh) const {
-  return mh.value() < energy_.size() ? energy_[mh.value()].spent : 0.0;
+  return mh.value() < energy_.size() ? energy_[mh.value()] : 0.0;
 }
-
-double CostLedger::energy_spent_total() const { return energy_total_; }
 
 double CostLedger::energy_min_remaining() const {
   return config_.energy.budget > 0 ? config_.energy.budget - max_spent_ : 0.0;
@@ -436,85 +414,6 @@ void CostSummary::append_csv(std::ostream& os, const std::string& arm) const {
   os << arm << ",total," << wired_frames << ',' << wired_bytes << ','
      << wireless_frames << ',' << wireless_bytes << ",1," << energy_total
      << '\n';
-}
-
-bool CostLedger::write_csv(const std::string& path,
-                           const std::string& arm) const {
-  std::ofstream out(path);
-  if (!out) {
-    RDP_LOG(common::LogLevel::kWarn) << "cost ledger: cannot open " << path;
-    return false;
-  }
-  csv_header(out);
-  append_csv(out, arm);
-  return static_cast<bool>(out);
-}
-
-void CostLedger::write_json_stream(std::ostream& os) const {
-  const CostSummary s = summary();
-  os << "{\n  \"energy_config\": {\"tx_per_byte\": " << config_.energy.tx_per_byte
-     << ", \"rx_per_byte\": " << config_.energy.rx_per_byte
-     << ", \"tx_per_frame\": " << config_.energy.tx_per_frame
-     << ", \"rx_per_frame\": " << config_.energy.rx_per_frame
-     << ", \"budget\": " << config_.energy.budget << "},\n";
-  os << "  \"totals\": {\"wired_frames\": " << s.wired_frames
-     << ", \"wired_bytes\": " << s.wired_bytes
-     << ", \"wireless_frames\": " << s.wireless_frames
-     << ", \"wireless_bytes\": " << s.wireless_bytes
-     << ", \"energy\": " << s.energy_total
-     << ", \"energy_min_remaining\": " << s.energy_min_remaining << "},\n";
-  os << "  \"classes\": {";
-  bool first = true;
-  for (int c = 0; c < kPurposeClassCount; ++c) {
-    const CostSummary::ClassRow& row = s.by_class[c];
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    os << '"' << purpose_class_name(static_cast<PurposeClass>(c))
-       << "\": {\"wired_frames\": " << row.wired_frames
-       << ", \"wired_bytes\": " << row.wired_bytes
-       << ", \"wireless_frames\": " << row.wireless_frames
-       << ", \"wireless_bytes\": " << row.wireless_bytes
-       << ", \"energy\": " << row.energy << '}';
-  }
-  os << "\n  },\n  \"messages\": [";
-  first = true;
-  const std::vector<const NameRow*> rows = rows_by_name();
-  for (int l = 0; l < kLinkKindCount; ++l) {
-    for (int p = 0; p < kPurposeClassCount; ++p) {
-      for (const NameRow* row : rows) {
-        const Cell& cell = row->cells[l][p];
-        if (cell.frames == 0) continue;
-        os << (first ? "\n    " : ",\n    ");
-        first = false;
-        os << "{\"link\": \"" << link_kind_name(static_cast<LinkKind>(l))
-           << "\", \"class\": \""
-           << purpose_class_name(static_cast<PurposeClass>(p))
-           << "\", \"message\": \"" << row->name
-           << "\", \"frames\": " << cell.frames
-           << ", \"bytes\": " << cell.bytes << '}';
-      }
-    }
-  }
-  os << "\n  ],\n  \"energy_per_mh\": {";
-  first = true;
-  for (std::size_t mh = 0; mh < energy_.size(); ++mh) {
-    if (energy_[mh].spent <= 0) continue;
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    os << '"' << common::MhId(static_cast<std::uint32_t>(mh)).str()
-       << "\": " << energy_[mh].spent;
-  }
-  os << "\n  }\n}\n";
-}
-
-bool CostLedger::write_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    RDP_LOG(common::LogLevel::kWarn) << "cost ledger: cannot open " << path;
-    return false;
-  }
-  write_json_stream(out);
-  return static_cast<bool>(out);
 }
 
 }  // namespace rdp::obs

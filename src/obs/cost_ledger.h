@@ -27,9 +27,13 @@
 // per wireless byte/frame transmitted and received by the mobile host.
 // Transmissions are charged at send time (the radio spends the airtime even
 // when the frame is lost); receptions are charged only on actual delivery.
-// Drain is mirrored into a MetricsRegistry as the rdp.energy.* gauge series
-// and byte flow as the rdp.cost.* counter series, so the telemetry sampler
-// can export both as time series.
+//
+// Each quantity has one store and one export.  The per-name cells and the
+// per-Mh vector are the store; summary() and wired_message_counts() are
+// the exports.  A MetricsRegistry, when given, receives only run-level
+// series for the telemetry sampler: the rdp.cost.* byte/frame counters per
+// (class, link) and the rdp.energy.spent_total / rdp.energy.remaining_min
+// gauges.  Per-Mh spend is read with energy_spent(mh), not exported.
 #pragma once
 
 #include <array>
@@ -141,22 +145,14 @@ class CostLedger {
   void on_wireless_frame(common::MhId mh, const net::PayloadPtr& payload,
                          bool uplink, net::FramePhase phase);
 
-  [[nodiscard]] const CostConfig& config() const { return config_; }
-
   // --- byte ledger ---------------------------------------------------------
   [[nodiscard]] std::uint64_t bytes(LinkKind link) const;
   [[nodiscard]] std::uint64_t bytes(LinkKind link, PurposeClass purpose) const;
-  [[nodiscard]] std::uint64_t frames(LinkKind link) const;
   [[nodiscard]] std::uint64_t wired_bytes() const {
     return bytes(LinkKind::kWired);
   }
   [[nodiscard]] std::uint64_t wireless_bytes() const {
     return bytes(LinkKind::kWirelessUp) + bytes(LinkKind::kWirelessDown);
-  }
-  // Uplink + downlink bytes for one purpose class.
-  [[nodiscard]] std::uint64_t wireless_bytes(PurposeClass purpose) const {
-    return bytes(LinkKind::kWirelessUp, purpose) +
-           bytes(LinkKind::kWirelessDown, purpose);
   }
   // Wired frame counts per message name (purposes merged) — the per-type
   // breakdown the experiment harness reports.
@@ -165,27 +161,13 @@ class CostLedger {
 
   // --- energy model --------------------------------------------------------
   [[nodiscard]] double energy_spent(common::MhId mh) const;
-  [[nodiscard]] double energy_spent_total() const;
   // budget - max per-Mh spend; 0 when no budget is configured.
   [[nodiscard]] double energy_min_remaining() const;
 
   [[nodiscard]] CostSummary summary() const;
 
-  // --- rendering / export --------------------------------------------------
   // Message-level detail: one row per (link, class, message).
   [[nodiscard]] stats::Table message_table() const;
-
-  // Purpose-class CSV rows (delegates to CostSummary's writers).
-  static void csv_header(std::ostream& os) { CostSummary::csv_header(os); }
-  void append_csv(std::ostream& os, const std::string& arm) const {
-    summary().append_csv(os, arm);
-  }
-
-  // Whole-ledger exports; return false (and log) when the path cannot be
-  // opened — e.g. the target directory does not exist — or a write fails.
-  bool write_csv(const std::string& path, const std::string& arm = "") const;
-  bool write_json(const std::string& path) const;
-  void write_json_stream(std::ostream& os) const;
 
  private:
   struct Cell {
@@ -211,11 +193,6 @@ class CostLedger {
     std::string name;
     PurposeClass by_name;
     Cell cells[kLinkKindCount][kPurposeClassCount] = {};
-  };
-  struct MhEnergy {
-    double spent = 0;  // > 0 exactly when the Mh was ever charged
-    MetricsRegistry::Gauge* spent_gauge = nullptr;
-    MetricsRegistry::Gauge* remaining_gauge = nullptr;
   };
 
   [[nodiscard]] Rule rule_of(const net::MessageBase& message);
@@ -253,7 +230,7 @@ class CostLedger {
   MetricsRegistry::Counter* frames_counters_[kLinkKindCount]
                                             [kPurposeClassCount] = {};
 
-  std::vector<MhEnergy> energy_;  // indexed by MhId value
+  std::vector<double> energy_;  // spent, indexed by MhId value
   double energy_total_ = 0;
   double max_spent_ = 0;
   MetricsRegistry::Gauge* spent_total_gauge_ = nullptr;

@@ -2,9 +2,9 @@
 // against the transports' own counters on a scripted Fig-3 run, purpose
 // classification of hand-off and re-issue traffic, the per-Mh energy
 // model, replication's wired-only recovery footprint, the baseline MIP
-// tunnel class, and failure handling on the export paths.
+// tunnel class, and failure handling on the telemetry export paths.
 #include <cstdio>
-#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -13,6 +13,7 @@
 #include "core/messages.h"
 #include "harness/experiment.h"
 #include "harness/metrics.h"
+#include "harness/sharded_world.h"
 #include "harness/world.h"
 #include "obs/cost_ledger.h"
 #include "obs/telemetry.h"
@@ -146,7 +147,6 @@ TEST(CostLedger, ScriptedFig3RunReconcilesByteForByte) {
   // downlink bytes; one Mh, so the min-remaining gauge is budget - spent.
   const double expected_energy = 2.0 * static_cast<double>(uplink_sum) +
                                  1.0 * static_cast<double>(downlink_delivered);
-  EXPECT_DOUBLE_EQ(ledger.energy_spent_total(), expected_energy);
   EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(0)), expected_energy);
   EXPECT_DOUBLE_EQ(ledger.energy_min_remaining(), 10000.0 - expected_energy);
   EXPECT_DOUBLE_EQ(summary.energy_total, expected_energy);
@@ -160,10 +160,11 @@ TEST(CostLedger, ScriptedFig3RunReconcilesByteForByte) {
 }
 
 // Pins the ledger's exports for the scripted Fig-3 run byte for byte: the
-// JSON document, the per-message table, and the registry series the ledger
-// and the metrics collector create (key set, final values and the sampled
-// time series).  Three more Mh ids are charged out of order afterwards, so
-// the ascending-MhId order of energy_per_mh is pinned too.
+// summary's CSV rows, the per-message table, and the registry series the
+// ledger and the metrics collector create (key set, final values and the
+// sampled time series).  Three more Mh ids are charged out of order
+// afterwards, so per-Mh spend and the run-level energy gauges cover more
+// than one Mh; the registry holds no per-Mh or per-type series.
 TEST(CostLedger, ScriptedFig3ExportsArePinned) {
   harness::ScenarioConfig config = scripted_config();
   config.telemetry.metrics_period = Duration::millis(250);
@@ -181,42 +182,26 @@ TEST(CostLedger, ScriptedFig3ExportsArePinned) {
   ledger.on_wireless_frame(MhId(5), join, /*uplink=*/false,
                            net::FramePhase::kDelivered);
 
-  std::ostringstream json;
-  ledger.write_json_stream(json);
-  EXPECT_EQ(json.str(),
-      "{\n"
-      "  \"energy_config\": {\"tx_per_byte\": 2, \"rx_per_byte\": 1, \"tx_per_frame\": 0, \"rx_per_frame\": 0, \"budget\": 10000},\n"
-      "  \"totals\": {\"wired_frames\": 10, \"wired_bytes\": 365, \"wireless_frames\": 11, \"wireless_bytes\": 249, \"energy\": 414, \"energy_min_remaining\": 9666},\n"
-      "  \"classes\": {\n"
-      "    \"app\": {\"wired_frames\": 3, \"wired_bytes\": 141, \"wireless_frames\": 2, \"wireless_bytes\": 77, \"energy\": 114},\n"
-      "    \"control\": {\"wired_frames\": 1, \"wired_bytes\": 32, \"wireless_frames\": 7, \"wireless_bytes\": 132, \"energy\": 220},\n"
-      "    \"handoff\": {\"wired_frames\": 6, \"wired_bytes\": 192, \"wireless_frames\": 2, \"wireless_bytes\": 40, \"energy\": 80},\n"
-      "    \"recovery\": {\"wired_frames\": 0, \"wired_bytes\": 0, \"wireless_frames\": 0, \"wireless_bytes\": 0, \"energy\": 0},\n"
-      "    \"tunnel\": {\"wired_frames\": 0, \"wired_bytes\": 0, \"wireless_frames\": 0, \"wireless_bytes\": 0, \"energy\": 0},\n"
-      "    \"other\": {\"wired_frames\": 0, \"wired_bytes\": 0, \"wireless_frames\": 0, \"wireless_bytes\": 0, \"energy\": 0}\n"
-      "  },\n"
-      "  \"messages\": [\n"
-      "    {\"link\": \"wired\", \"class\": \"app\", \"message\": \"resultForward\", \"frames\": 1, \"bytes\": 56},\n"
-      "    {\"link\": \"wired\", \"class\": \"app\", \"message\": \"serverRequest\", \"frames\": 1, \"bytes\": 41},\n"
-      "    {\"link\": \"wired\", \"class\": \"app\", \"message\": \"serverResult\", \"frames\": 1, \"bytes\": 44},\n"
-      "    {\"link\": \"wired\", \"class\": \"control\", \"message\": \"ackForward\", \"frames\": 1, \"bytes\": 32},\n"
-      "    {\"link\": \"wired\", \"class\": \"handoff\", \"message\": \"dereg\", \"frames\": 2, \"bytes\": 48},\n"
-      "    {\"link\": \"wired\", \"class\": \"handoff\", \"message\": \"deregAck\", \"frames\": 2, \"bytes\": 88},\n"
-      "    {\"link\": \"wired\", \"class\": \"handoff\", \"message\": \"update_currentLoc\", \"frames\": 2, \"bytes\": 56},\n"
-      "    {\"link\": \"wireless_up\", \"class\": \"app\", \"message\": \"request\", \"frames\": 1, \"bytes\": 37},\n"
-      "    {\"link\": \"wireless_up\", \"class\": \"control\", \"message\": \"ack\", \"frames\": 1, \"bytes\": 24},\n"
-      "    {\"link\": \"wireless_up\", \"class\": \"control\", \"message\": \"join\", \"frames\": 3, \"bytes\": 48},\n"
-      "    {\"link\": \"wireless_up\", \"class\": \"handoff\", \"message\": \"greet\", \"frames\": 2, \"bytes\": 40},\n"
-      "    {\"link\": \"wireless_down\", \"class\": \"app\", \"message\": \"result\", \"frames\": 1, \"bytes\": 40},\n"
-      "    {\"link\": \"wireless_down\", \"class\": \"control\", \"message\": \"registrationAck\", \"frames\": 3, \"bytes\": 60}\n"
-      "  ],\n"
-      "  \"energy_per_mh\": {\n"
-      "    \"Mh0\": 334,\n"
-      "    \"Mh2\": 32,\n"
-      "    \"Mh5\": 16,\n"
-      "    \"Mh7\": 32\n"
-      "  }\n"
-      "}\n");
+  std::ostringstream summary;
+  obs::CostSummary::csv_header(summary);
+  ledger.summary().append_csv(summary, "fig3");
+  EXPECT_EQ(summary.str(),
+      "arm,class,wired_frames,wired_bytes,wireless_frames,wireless_bytes,"
+      "wireless_share,energy\n"
+      "fig3,app,3,141,2,77,0.309237,114\n"
+      "fig3,control,1,32,7,132,0.53012,220\n"
+      "fig3,handoff,6,192,2,40,0.160643,80\n"
+      "fig3,recovery,0,0,0,0,0,0\n"
+      "fig3,tunnel,0,0,0,0,0,0\n"
+      "fig3,other,0,0,0,0,0,0\n"
+      "fig3,total,10,365,11,249,1,414\n");
+  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(0)), 334);
+  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(1)), 0);
+  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(2)), 32);
+  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(5)), 16);
+  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(7)), 32);
+  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(8)), 0);
+  EXPECT_DOUBLE_EQ(ledger.energy_min_remaining(), 9666);
 
   std::ostringstream table;
   ledger.message_table().print(table);
@@ -242,13 +227,6 @@ TEST(CostLedger, ScriptedFig3ExportsArePinned) {
   EXPECT_EQ(registry_json.str(),
       "{\n"
       "  \"counters\": {\n"
-      "    \"net.wired.messages{type=ackForward}\": 1,\n"
-      "    \"net.wired.messages{type=dereg}\": 2,\n"
-      "    \"net.wired.messages{type=deregAck}\": 2,\n"
-      "    \"net.wired.messages{type=resultForward}\": 1,\n"
-      "    \"net.wired.messages{type=serverRequest}\": 1,\n"
-      "    \"net.wired.messages{type=serverResult}\": 1,\n"
-      "    \"net.wired.messages{type=update_currentLoc}\": 2,\n"
       "    \"rdp.acks.forwarded\": 1,\n"
       "    \"rdp.cost.bytes{class=app,link=wired}\": 141,\n"
       "    \"rdp.cost.bytes{class=app,link=wireless_down}\": 40,\n"
@@ -280,15 +258,7 @@ TEST(CostLedger, ScriptedFig3ExportsArePinned) {
       "    \"rdp.update_currentloc\": 2\n"
       "  },\n"
       "  \"gauges\": {\n"
-      "    \"rdp.energy.remaining{mh=Mh0}\": 9666,\n"
-      "    \"rdp.energy.remaining{mh=Mh2}\": 9968,\n"
-      "    \"rdp.energy.remaining{mh=Mh5}\": 9984,\n"
-      "    \"rdp.energy.remaining{mh=Mh7}\": 9968,\n"
       "    \"rdp.energy.remaining_min\": 9666,\n"
-      "    \"rdp.energy.spent{mh=Mh0}\": 334,\n"
-      "    \"rdp.energy.spent{mh=Mh2}\": 32,\n"
-      "    \"rdp.energy.spent{mh=Mh5}\": 16,\n"
-      "    \"rdp.energy.spent{mh=Mh7}\": 32,\n"
       "    \"rdp.energy.spent_total\": 414\n"
       "  },\n"
       "  \"histograms\": {\n"
@@ -296,7 +266,7 @@ TEST(CostLedger, ScriptedFig3ExportsArePinned) {
       "    \"rdp.handoff.latency_ms\": {\"count\": 2, \"mean\": 10, \"p50\": 10, \"p95\": 10, \"max\": 10},\n"
       "    \"rdp.handoff.state_bytes\": {\"count\": 2, \"mean\": 44, \"p50\": 44, \"p95\": 44, \"max\": 44}\n"
       "  },\n"
-      "  \"samples\": 215\n"
+      "  \"samples\": 165\n"
       "}\n");
 
   // The sampled series is long; pin its size and an FNV-1a digest.
@@ -306,8 +276,8 @@ TEST(CostLedger, ScriptedFig3ExportsArePinned) {
   for (const char c : csv.str()) {
     digest = (digest ^ static_cast<unsigned char>(c)) * 1099511628211ull;
   }
-  EXPECT_EQ(csv.str().size(), 9369u);
-  EXPECT_EQ(digest, 8363795518279218699ull);
+  EXPECT_EQ(csv.str().size(), 7294u);
+  EXPECT_EQ(digest, 13810145272904385777ull);
 }
 
 // A lost uplink request makes the Mh watchdog re-issue it; the repeat
@@ -517,27 +487,56 @@ TEST(CostLedger, MipBaselineChargesTunnelClass) {
   EXPECT_GT(result.cost.wireless_bytes, 0u);
 }
 
-// Export-path error handling (ledger side): a missing target directory
-// must surface as `false`, not silently succeed; a writable path works and
-// produces the stable CSV schema.
-TEST(CostLedger, ExportsReportFailure) {
-  obs::CostConfig config;
-  config.enabled = true;
-  obs::CostLedger ledger(config);
+// Each accounting quantity has one export: the registry keeps run-level
+// series only (no per-Mh energy gauge, no per-type wired counter), and the
+// ledger's per-type wired counts account for every wired send, on both
+// kernels.
+std::uint64_t total(const std::map<std::string, std::uint64_t>& counts) {
+  std::uint64_t sum = 0;
+  for (const auto& [name, count] : counts) sum += count;
+  return sum;
+}
 
-  EXPECT_FALSE(ledger.write_csv("/nonexistent-rdp-dir/ledger.csv"));
-  EXPECT_FALSE(ledger.write_json("/nonexistent-rdp-dir/ledger.json"));
+void expect_run_level_series_only(const obs::MetricsRegistry& registry) {
+  std::ostringstream json;
+  registry.write_json(json);
+  EXPECT_EQ(json.str().find("mh="), std::string::npos) << json.str();
+  EXPECT_EQ(json.str().find("net.wired.messages"), std::string::npos)
+      << json.str();
+  EXPECT_NE(json.str().find("\"rdp.energy.spent_total\""), std::string::npos);
+  EXPECT_NE(json.str().find("\"rdp.energy.remaining_min\""),
+            std::string::npos);
+  EXPECT_FALSE(registry.samples().empty());
+}
 
-  const std::string path = "rdp_cost_ledger_test_out.csv";
-  ASSERT_TRUE(ledger.write_csv(path, "unit"));
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header,
-            "arm,class,wired_frames,wired_bytes,wireless_frames,"
-            "wireless_bytes,wireless_share,energy");
-  in.close();
-  std::remove(path.c_str());
+TEST(CostLedger, RegistryKeepsRunLevelSeriesOnBothKernels) {
+  harness::ScenarioConfig config = scripted_config();
+  config.telemetry.metrics_period = Duration::millis(250);
+  {
+    harness::World world(config);
+    run_scripted_fig3(world);
+    expect_run_level_series_only(world.telemetry().registry());
+    EXPECT_GT(world.wired().messages_sent(), 0u);
+    EXPECT_EQ(total(world.cost_ledger()->wired_message_counts()),
+              world.wired().messages_sent());
+  }
+  harness::ShardedScenarioConfig sharded;
+  sharded.base = config;
+  sharded.base.num_mh = 3;
+  sharded.shards = 3;
+  harness::ShardedWorld world(sharded);
+  for (int i = 0; i < sharded.base.num_mh; ++i) {
+    world.mh(i).power_on(world.home_cell(i));
+    world.shard_simulator(world.home_shard(i))
+        .schedule(Duration::millis(100), [&world, i] {
+          world.mh(i).issue_request(world.server_address(0), "query");
+        });
+  }
+  world.run_to_quiescence();
+  expect_run_level_series_only(world.telemetry().registry());
+  EXPECT_GT(world.wired_messages_total(), 0u);
+  EXPECT_EQ(total(world.cost_ledger()->wired_message_counts()),
+            world.wired_messages_total());
 }
 
 // Export-path error handling (telemetry side): the metrics/trace writers

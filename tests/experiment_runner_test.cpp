@@ -200,7 +200,7 @@ wired_by_type 601e03ecc1bf6b8c
 cost_csv e48fb72f5925dee7
 counters 55c2334281737c7b
 trace e12ddb632e94ff84
-metrics 9dcc3c8d46f0b36e
+metrics 82d8225c9f7b0ebd
 analyzer 7fc27d8ac94506a3
 )");
   // The scenario exercises what it names.
@@ -263,7 +263,7 @@ kernel_events 1903
 wired_by_type 4a0aec9b8188c9f4
 cost_csv b33a28a7b3ad8074
 counters 132685fe071accd7
-metrics 0c5a474e9c5ba01f
+metrics c9c76df531a5af14
 analyzer bcd552af622fdeec
 )");
   EXPECT_EQ(result.counters.at("membership.departures"), 1u);

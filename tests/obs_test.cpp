@@ -876,6 +876,7 @@ TEST(InvariantAuditor, ScriptedReportIsPinned) {
 
 TEST(Telemetry, CleanRunAuditsCleanAndBalances) {
   auto config = testutil::deterministic_config(3, 1, 1);
+  config.cost.enabled = true;
   harness::World world(config);
   auto& mh = world.mh(0);
   mh.power_on(world.cell(0));
@@ -897,9 +898,15 @@ TEST(Telemetry, CleanRunAuditsCleanAndBalances) {
   // The flight recorder saw the whole exchange.
   ASSERT_NE(world.telemetry().flight_recorder(), nullptr);
   EXPECT_GT(world.telemetry().flight_recorder()->total_recorded(), 5u);
-  // The wire-message counter family in the registry is populated.
-  EXPECT_GT(world.telemetry().registry().counter_total("net.wired.messages"),
-            0u);
+  // The ledger's per-type wired message counts are populated and account
+  // for every wired send.
+  std::uint64_t wired_by_type = 0;
+  for (const auto& [type, count] :
+       world.cost_ledger()->wired_message_counts()) {
+    wired_by_type += count;
+  }
+  EXPECT_GT(wired_by_type, 0u);
+  EXPECT_EQ(wired_by_type, world.wired().messages_sent());
 }
 
 TEST(Telemetry, MetricsCollectorMirrorsIntoRegistry) {
@@ -982,6 +989,7 @@ TEST(Telemetry, TraceConfigEnablesTracerInWorld) {
   EXPECT_EQ(config.telemetry.trace, false);  // off by default
   config.telemetry.trace = true;
   config.telemetry.metrics_period = Duration::millis(50);
+  config.cost.enabled = true;  // its rdp.cost.* series are what gets sampled
   harness::World world(config);
 
   world.mh(0).power_on(world.cell(0));
