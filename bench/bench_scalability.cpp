@@ -398,11 +398,12 @@ int main(int argc, char** argv) {
     // Alloc-count regression gate: steady-state heap allocations per kernel
     // event in the profiled 8-shard sweep.  With the pooled message path,
     // flattened dispatch, allocation-free per-message bookkeeping (ledger,
-    // metrics collector, flight recorder, flat causal matrices) and flat
-    // protocol state (Mh agent, Mss, proxy, ARQ receiver) the sweep
-    // measures 0.68 allocs/event (the count is deterministic); the budget
-    // of 0.82 leaves ~20% headroom for consumer/telemetry drift and scales
-    // with RDP_PERF_TOLERANCE (default 0.30) like the micro-bench gate.
+    // metrics collector, flight recorder, flat causal matrices), flat
+    // protocol state (Mh agent, Mss, proxy, ARQ receiver) and no per-Mh
+    // registry series the sweep measures 0.62 allocs/event (the count is
+    // deterministic); the budget of 0.75 leaves ~20% headroom for
+    // consumer/telemetry drift and scales with RDP_PERF_TOLERANCE
+    // (default 0.30) like the micro-bench gate.
     double tolerance = 0.30;
     if (const char* env = std::getenv("RDP_PERF_TOLERANCE")) {
       tolerance = std::strtod(env, nullptr);
@@ -412,7 +413,7 @@ int main(int argc, char** argv) {
             ? 0.0
             : static_cast<double>(scenario_report.total_alloc_count) /
                   static_cast<double>(sharded.back().result.kernel_events);
-    const double alloc_budget = 0.82 * (1.0 + tolerance);
+    const double alloc_budget = 0.75 * (1.0 + tolerance);
     std::cout << "steady-state allocs/event: " << allocs_per_event
               << " (budget " << alloc_budget << ")\n";
     benchutil::claim(
