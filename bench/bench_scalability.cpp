@@ -378,23 +378,12 @@ int main(int argc, char** argv) {
   if (have_scenario_report) {
     benchutil::section("profile: 8-shard sweep attribution");
     benchutil::print_profile(scenario_report);
-    // 0.85, not 0.90: flattened dispatch + pooled messages + coarse
-    // observer barriers shrank the former hot domains, so self time is
-    // spread more evenly across what remains.
+    // 0.85, not 0.90: flattened dispatch and pooled messages shrank the
+    // former hot domains, so self time is spread more evenly across what
+    // remains.
     benchutil::claim(
         "top-10 domains cover >=85% of attributed self time",
         scenario_report.top10_share >= 0.85);
-    // Coarse observer barriers: tap merges fire on the observer-interval
-    // grid, not at every kernel window (docs/PROTOCOL.md §10).  The smoke
-    // scenario is short, so its windows are sparser relative to the 50 ms
-    // grid and the coarsening ratio is lower.
-    const std::uint64_t barrier_factor = options.smoke ? 2 : 4;
-    benchutil::claim(
-        "observer barriers are >=" + std::to_string(barrier_factor) +
-            "x fewer than kernel windows",
-        scenario_report.barriers > 0 &&
-            scenario_report.windows >=
-                barrier_factor * scenario_report.barriers);
     // Alloc-count regression gate: steady-state heap allocations per kernel
     // event in the profiled 8-shard sweep.  With the pooled message path,
     // flattened dispatch, allocation-free per-message bookkeeping (ledger,

@@ -246,9 +246,8 @@ inline void print_profile(const obs::ProfileReport& report,
                 total > 0 ? 100.0 * busy_ms / total : 100.0);
   }
   if (report.windows > 0) {
-    std::printf("  kernel windows: %llu  observer barriers: %llu\n",
-                static_cast<unsigned long long>(report.windows),
-                static_cast<unsigned long long>(report.barriers));
+    std::printf("  kernel windows: %llu\n",
+                static_cast<unsigned long long>(report.windows));
   }
 }
 
@@ -286,8 +285,7 @@ inline std::string profile_json(const obs::ProfileReport& report,
     json += i + 1 < report.shards.size() ? ",\n" : "\n";
   }
   json += "      ],\n";
-  json += "      \"windows\": " + std::to_string(report.windows) + ",\n";
-  json += "      \"barriers\": " + std::to_string(report.barriers) + "\n";
+  json += "      \"windows\": " + std::to_string(report.windows) + "\n";
   json += "    }";
   return json;
 }

@@ -8,7 +8,7 @@
 // series of its own.  The world feeds the instruments through two entry
 // points: every wired send and every radio frame.  World calls them from
 // its networks' observers as things happen; ShardedWorld calls them from
-// the shard-tap merger's canonical replay at observer barriers.
+// the shard-tap merger's canonical replay at every window barrier.
 // Destroying the instruments reports any auditor or analyzer violations
 // on stderr.
 //

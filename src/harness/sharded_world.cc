@@ -24,13 +24,6 @@ sim::ShardedSimulator::Options kernel_options(
   // both charge at least their base latency.
   options.lookahead = std::min(config.base.wired.base_latency,
                                config.base.wireless.base_latency);
-  // Observer barriers (docs/PROTOCOL.md §10): the kernel still fences and
-  // exchanges outboxes at every window, but the tap merge and replay runs
-  // only when the fence crosses a multiple of this interval (plus a final
-  // flush per run).  The fences that cross a fixed grid form a
-  // partition-invariant subset, so results stay bit-identical across
-  // shard counts.
-  options.observer_interval = common::Duration::millis(50);
   return options;
 }
 
@@ -215,18 +208,15 @@ ShardedWorld::ShardedWorld(ShardedScenarioConfig config)
     }
   }
 
-  // Two tiers (docs/PROTOCOL.md §10): work the protocol can observe —
-  // churn transitions and wireless mirror state — applies at every window
-  // so results are independent of the observer interval; the tap merge,
-  // by far the most expensive barrier work, runs only at coarse observer
-  // barriers (its replay is order-insensitive to batching: sort keys lead
-  // with time and window ends are exclusive, so concatenating per-window
-  // canonical flushes equals one canonical flush of the union).
-  sim_.add_window_hook([this](common::SimTime at) {
+  // One barrier per window (docs/PROTOCOL.md §10): churn transitions and
+  // the wireless mirror, which the protocol can observe, then the tap
+  // merge, which replays the window's records into the global observers
+  // and the instruments in canonical order.
+  sim_.set_barrier_hook([this](common::SimTime at) {
     apply_churn(at);
     sync_mirrors();
+    merger_.flush();
   });
-  sim_.add_barrier_hook([this](common::SimTime) { merger_.flush(); });
 }
 
 ShardedWorld::~ShardedWorld() = default;

@@ -12,7 +12,7 @@
 //
 // All inter-node traffic is routed through the sharded kernel's mailboxes
 // (net/shard_router.h), and the per-shard observer buffers are merged and
-// replayed at observer barriers (obs/shard_taps.h): protocol events into
+// replayed at every window barrier (obs/shard_taps.h): protocol events into
 // the global observer list (telemetry, the experiment metrics), wired sends
 // and radio frames into the world's harness::Instruments — the same
 // instrument set World feeds live.  The result is bit-identical to itself

@@ -53,7 +53,6 @@ void Profiler::ingest_shard_stats(const sim::ShardedSimulator& sharded) {
     shard_rows_.push_back(row);
   }
   windows_ = stats.windows;
-  barriers_ = stats.barriers;
   window_width_us_log2_ = stats.window_width_us_log2;
   outbox_drain_log2_ = stats.outbox_drain_log2;
   window_records_.clear();
@@ -222,7 +221,6 @@ ProfileReport Profiler::report() const {
 
   out.shards = shard_rows_;
   out.windows = windows_;
-  out.barriers = barriers_;
   out.window_width_us_log2 = window_width_us_log2_;
   out.outbox_drain_log2 = outbox_drain_log2_;
   return out;
@@ -274,7 +272,6 @@ void Profiler::export_metrics(MetricsRegistry& registry) const {
   }
   if (rep.windows > 0) {
     registry.gauge("rdp.prof.windows").set(static_cast<double>(rep.windows));
-    registry.gauge("rdp.prof.barriers").set(static_cast<double>(rep.barriers));
     for (std::size_t i = 0; i < rep.window_width_us_log2.size(); ++i) {
       if (rep.window_width_us_log2[i] == 0) continue;
       registry

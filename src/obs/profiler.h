@@ -72,8 +72,7 @@ struct ProfileReport {
 
   // Sharded-kernel stats (empty for single-kernel runs).
   std::vector<ProfShardRow> shards;
-  std::uint64_t windows = 0;   // kernel windows (fences run)
-  std::uint64_t barriers = 0;  // observer barriers (tap merges); <= windows
+  std::uint64_t windows = 0;  // kernel windows (fences run)
   // log2-bucketed histograms: bucket i counts values in [2^i, 2^(i+1)).
   std::array<std::uint64_t, 32> window_width_us_log2{};
   std::array<std::uint64_t, 32> outbox_drain_log2{};
@@ -140,7 +139,6 @@ class Profiler {
 
   std::vector<ProfShardRow> shard_rows_;
   std::uint64_t windows_ = 0;
-  std::uint64_t barriers_ = 0;
   std::array<std::uint64_t, 32> window_width_us_log2_{};
   std::array<std::uint64_t, 32> outbox_drain_log2_{};
   std::vector<WindowRecord> window_records_;

@@ -23,9 +23,10 @@
 //     through `phase` are indistinguishable to the ledger (its wireless
 //     accounting is stateless across frames of different streams and
 //     additive within a purpose class).
-// Replay order within a barrier is wired, then frames, then events; metric
-// samples taken during event replay therefore see byte counters that may
-// run ahead by at most one window.
+// The merger is flushed at every window barrier, and replay order within a
+// flush is wired, then frames, then events; a metric sample taken during
+// event replay therefore sees byte counters that include the rest of its
+// window, running ahead of the sample's time by at most one window.
 #pragma once
 
 #include <cstdint>

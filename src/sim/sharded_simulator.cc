@@ -33,10 +33,6 @@ ShardedSimulator::ShardedSimulator(const Options& options) {
   RDP_CHECK(options.shards >= 1, "need at least one shard");
   lookahead_us_ = options.lookahead.count_micros();
   RDP_CHECK(lookahead_us_ > 0, "lookahead must be positive");
-  observer_interval_us_ = options.observer_interval.count_micros();
-  RDP_CHECK(observer_interval_us_ >= 0,
-            "observer interval cannot be negative");
-  next_observer_fence_us_ = observer_interval_us_;
 
   shards_.reserve(static_cast<std::size_t>(options.shards));
   for (int i = 0; i < options.shards; ++i) {
@@ -84,12 +80,9 @@ void ShardedSimulator::post(int src, int dst, ShardInjection injection) {
       .push_back(std::move(injection));
 }
 
-void ShardedSimulator::add_window_hook(BarrierHook hook) {
-  window_hooks_.push_back(std::move(hook));
-}
-
-void ShardedSimulator::add_barrier_hook(BarrierHook hook) {
-  barrier_hooks_.push_back(std::move(hook));
+void ShardedSimulator::set_barrier_hook(BarrierHook hook) {
+  RDP_CHECK(!barrier_hook_, "the barrier hook is set once");
+  barrier_hook_ = std::move(hook);
 }
 
 void ShardedSimulator::set_profiling(bool enabled) {
@@ -272,27 +265,7 @@ void ShardedSimulator::inject_outboxes(std::int64_t fence_us) {
 
 void ShardedSimulator::barrier(std::int64_t fence_us) {
   inject_outboxes(fence_us);
-  for (auto& hook : window_hooks_) hook(SimTime::from_micros(fence_us));
-  hooks_pending_ = true;
-  // Coarse tier: skip the (expensive) observer work unless the fence
-  // reached the next grid boundary.  The fence sequence depends only on
-  // the pending (time, bound) pairs, so which fences cross the grid — and
-  // therefore the whole hook-firing schedule — is partition-invariant.
-  if (observer_interval_us_ > 0 && fence_us < next_observer_fence_us_) return;
-  fire_observer_hooks(fence_us);
-}
-
-void ShardedSimulator::fire_observer_hooks(std::int64_t fence_us) {
-  if (!hooks_pending_) return;
-  hooks_pending_ = false;
-  ++observer_barriers_;
-  if (profiling_) ++prof_.barriers;
-  if (observer_interval_us_ > 0) {
-    // Next boundary strictly after this fence.
-    next_observer_fence_us_ =
-        (fence_us / observer_interval_us_ + 1) * observer_interval_us_;
-  }
-  for (auto& hook : barrier_hooks_) hook(SimTime::from_micros(fence_us));
+  if (barrier_hook_) barrier_hook_(SimTime::from_micros(fence_us));
 }
 
 void ShardedSimulator::drain_pending_posts() {
@@ -332,11 +305,6 @@ std::size_t ShardedSimulator::run_until(SimTime until) {
   for (auto& shard : shards_) shard->run_until(until);
   if (fence_us_ <= end_us) fence_us_ = end_us + 1;
   now_ = until;
-  // Flush any windows the coarse tier skipped: the caller's clock now
-  // stands at `until`, and observers must have seen everything before it.
-  // `until` is chosen by the driving code, never by the partitioning, so
-  // this firing is partition-invariant too.
-  fire_observer_hooks(fence_us_);
   return executed;
 }
 
@@ -357,7 +325,6 @@ std::size_t ShardedSimulator::run() {
   SimTime latest = now_;
   for (const auto& shard : shards_) latest = std::max(latest, shard->now());
   now_ = latest;
-  fire_observer_hooks(fence_us_);
   return executed;
 }
 

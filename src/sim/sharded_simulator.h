@@ -28,9 +28,9 @@
 // The fence rule depends only on the (time, bound) pairs of the pending
 // events — never on which shard holds an event, because every send
 // (intra-shard included) goes through post() and every timer lives in its
-// owner's shard for any partitioning — so the barrier sequence, where
-// observer buffers are merged and the wireless mirror synced via hooks,
-// is partition-invariant and runs stay bit-reproducible across shard and
+// owner's shard for any partitioning — so the barrier sequence, where the
+// barrier hook merges observer buffers and syncs the wireless mirror, is
+// partition-invariant and runs stay bit-reproducible across shard and
 // thread counts.
 #pragma once
 
@@ -81,14 +81,6 @@ class ShardedSimulator {
     // Minimum cross-shard latency; every post() must arrive at least this
     // far after the moment it is posted.  Must be positive.
     Duration lookahead = Duration::millis(1);
-    // Two-tier barriers: every window still exchanges outboxes and syncs
-    // worker threads (soundness), but the *observer* barrier hooks fire
-    // only when the fence crosses a multiple of this interval (plus once
-    // at the end of each run).  Zero fires hooks at every window.  The
-    // fence sequence is partition-invariant, so the subset of fences that
-    // cross a fixed grid is too: coarse hooks keep runs bit-reproducible
-    // across shard and thread counts.
-    Duration observer_interval = Duration::zero();
   };
 
   explicit ShardedSimulator(const Options& options);
@@ -115,17 +107,13 @@ class ShardedSimulator {
   // ordering is identical across partitionings.
   void post(int src, int dst, ShardInjection injection);
 
-  // Hooks run single-threaded after the mailboxes have been drained into
-  // the shards; the argument is the fence time (every event strictly
-  // before it has executed).  Window hooks fire at every window and are
-  // for work the protocol can see — e.g. syncing the wireless mirror —
-  // so coarsening never changes results.  Barrier hooks fire only when
-  // the fence crosses the observer grid (Options::observer_interval) plus
-  // once per run, and carry the expensive observability work: merging and
-  // replaying per-shard tap buffers.
+  // The barrier hook runs single-threaded at every window fence, after the
+  // mailboxes have been drained into the shards; the argument is the fence
+  // time (every event strictly before it has executed).  The harness sets
+  // it once, to apply churn, sync the wireless mirror and merge the
+  // per-shard tap buffers.
   using BarrierHook = SmallFn<void(SimTime), 64>;
-  void add_window_hook(BarrierHook hook);
-  void add_barrier_hook(BarrierHook hook);
+  void set_barrier_hook(BarrierHook hook);
 
   // Run all shards through `until` inclusive; afterwards every shard's
   // clock (and now()) equals `until`.  Returns events executed.
@@ -137,11 +125,10 @@ class ShardedSimulator {
   [[nodiscard]] std::size_t executed_events() const;
   [[nodiscard]] std::size_t pending_events() const;
   [[nodiscard]] std::uint64_t windows_run() const { return windows_; }
-  // Observer barriers fired (hook invocations); equals windows_run() when
-  // Options::observer_interval is zero, and is ~interval/window-width times
-  // smaller otherwise.
+  // Barrier-hook firings, which the benchmark reports as its observer
+  // barriers: one per window.
   [[nodiscard]] std::uint64_t observer_barriers_run() const {
-    return observer_barriers_;
+    return windows_run();
   }
 
   // --- profiling (docs/PROTOCOL.md §13) ---------------------------------
@@ -157,7 +144,6 @@ class ShardedSimulator {
     std::vector<std::uint64_t> busy_ns;   // per shard, summed over windows
     std::vector<std::uint64_t> stall_ns;  // per shard, summed over windows
     std::uint64_t windows = 0;
-    std::uint64_t barriers = 0;  // observer barriers (hook firings)
     // Bucket i counts windows whose fence advanced [2^i, 2^(i+1)) sim-µs
     // since the previous barrier (empty-window skips widen this).
     std::array<std::uint64_t, 32> window_width_us_log2{};
@@ -193,10 +179,8 @@ class ShardedSimulator {
   // Sort every outbox by the canonical key and schedule the injections into
   // their destination shards, checking each against the fence.
   void inject_outboxes(std::int64_t fence_us);
-  // inject_outboxes + (when the fence crosses the observer grid) the hooks.
+  // inject_outboxes, then the barrier hook.
   void barrier(std::int64_t fence_us);
-  // Fire the barrier hooks if any window ran since the last firing.
-  void fire_observer_hooks(std::int64_t fence_us);
   // Deliveries posted from outside a run (e.g. a host powered on before the
   // first run_until) sit in the outboxes where the window-placement logic
   // cannot see them; fold them into the shard queues before running.
@@ -209,18 +193,12 @@ class ShardedSimulator {
   std::int64_t fence_us_ = 0;  // every event < fence has executed
   SimTime now_ = SimTime::zero();
   std::uint64_t windows_ = 0;
-  // Observer-barrier tier (see Options::observer_interval).
-  std::int64_t observer_interval_us_ = 0;
-  std::int64_t next_observer_fence_us_ = 0;
-  std::uint64_t observer_barriers_ = 0;
-  bool hooks_pending_ = false;
 
   // outboxes_[src * shards + dst]; written only by src's worker during a
   // window, drained only at barriers.
   std::vector<std::vector<ShardInjection>> outboxes_;
   std::vector<ShardInjection> sort_scratch_;
-  std::vector<BarrierHook> window_hooks_;
-  std::vector<BarrierHook> barrier_hooks_;
+  BarrierHook barrier_hook_;
 
   // Worker pool (only when threads_ > 1).  Workers own a static slice of
   // shards (worker w runs shards w, w+threads, ...).  All coordination goes

@@ -263,7 +263,7 @@ kernel_events 1903
 wired_by_type 4a0aec9b8188c9f4
 cost_csv b33a28a7b3ad8074
 counters 132685fe071accd7
-metrics c9c76df531a5af14
+metrics cc55834eeafa6ada
 analyzer bcd552af622fdeec
 )");
   EXPECT_EQ(result.counters.at("membership.departures"), 1u);

@@ -132,7 +132,7 @@ TEST(ShardedSim, ThreadCountDoesNotChangeResults) {
 TEST(ShardedSim, WindowsFenceAtReactionBoundsAndSkipEmptyStretches) {
   ShardedSimulator sharded(opts(2, 1, Duration::millis(10)));
   std::vector<std::int64_t> fences;
-  sharded.add_barrier_hook([&fences](SimTime fence) {
+  sharded.set_barrier_hook([&fences](SimTime fence) {
     fences.push_back((fence - SimTime::zero()).count_micros());
   });
   // One event at t=3ms, then a long gap to t=95ms.
@@ -146,6 +146,8 @@ TEST(ShardedSim, WindowsFenceAtReactionBoundsAndSkipEmptyStretches) {
   // between produces no barriers at all.
   EXPECT_EQ(fences, (std::vector<std::int64_t>{13000, 100001}));
   EXPECT_EQ(sharded.windows_run(), 2u);
+  EXPECT_EQ(fences.size(), sharded.windows_run());
+  EXPECT_EQ(sharded.observer_barriers_run(), sharded.windows_run());
   EXPECT_EQ(sharded.now(), SimTime::zero() + Duration::millis(100));
 }
 
@@ -155,7 +157,7 @@ TEST(ShardedSim, ReactionBoundsWidenWindowsBeyondGlobalLookahead) {
   // global lookahead, merging what would otherwise be several windows.
   ShardedSimulator sharded(opts(2, 1, Duration::millis(1)));
   std::vector<std::int64_t> fences;
-  sharded.add_barrier_hook([&fences](SimTime fence) {
+  sharded.set_barrier_hook([&fences](SimTime fence) {
     fences.push_back((fence - SimTime::zero()).count_micros());
   });
   int ran = 0;
@@ -170,6 +172,8 @@ TEST(ShardedSim, ReactionBoundsWidenWindowsBeyondGlobalLookahead) {
   // where a fixed 1ms lookahead would have fenced twice before 5ms.
   EXPECT_EQ(fences, (std::vector<std::int64_t>{22000, 31000}));
   EXPECT_EQ(sharded.windows_run(), 2u);
+  EXPECT_EQ(fences.size(), sharded.windows_run());
+  EXPECT_EQ(sharded.observer_barriers_run(), sharded.windows_run());
 }
 
 TEST(ShardedSim, FenceScheduleIsPartitionInvariant) {
@@ -180,7 +184,7 @@ TEST(ShardedSim, FenceScheduleIsPartitionInvariant) {
   auto fences_for = [](int shards) {
     ShardedSimulator sharded(opts(shards, 1, Duration::millis(1)));
     std::vector<std::int64_t> fences;
-    sharded.add_barrier_hook([&fences](SimTime fence) {
+    sharded.set_barrier_hook([&fences](SimTime fence) {
       fences.push_back((fence - SimTime::zero()).count_micros());
     });
     // Same global event multiset however it is spread over shards.
@@ -190,66 +194,14 @@ TEST(ShardedSim, FenceScheduleIsPartitionInvariant) {
           i % 2 == 0 ? Duration::millis(8) : Duration::zero(), [] {});
     }
     sharded.run();
+    // The barrier hook fires once per window.
+    EXPECT_EQ(fences.size(), sharded.windows_run());
+    EXPECT_EQ(sharded.observer_barriers_run(), sharded.windows_run());
     return fences;
   };
   const auto one = fences_for(1);
   EXPECT_EQ(one, fences_for(2));
   EXPECT_EQ(one, fences_for(4));
-  EXPECT_GE(one.size(), 2u);
-}
-
-TEST(ShardedSim, ObserverBarriersFollowTheCoarseGridAndFlushAtRunEnd) {
-  // With an observer interval, window hooks still fire at every window but
-  // barrier hooks only when a fence crosses a grid multiple — plus one
-  // final firing per run so nothing stays buffered.
-  auto options = opts(2, 1, Duration::millis(1));
-  options.observer_interval = Duration::millis(10);
-  ShardedSimulator sharded(options);
-  std::vector<std::int64_t> window_fences;
-  std::vector<std::int64_t> observer_fences;
-  sharded.add_window_hook([&window_fences](SimTime fence) {
-    window_fences.push_back((fence - SimTime::zero()).count_micros());
-  });
-  sharded.add_barrier_hook([&observer_fences](SimTime fence) {
-    observer_fences.push_back((fence - SimTime::zero()).count_micros());
-  });
-  for (int i = 1; i <= 24; ++i) {
-    sharded.shard(i % 2).schedule(Duration::millis(i), [] {});
-  }
-  sharded.run_until(SimTime::zero() + Duration::millis(30));
-  // Fences land at 2ms, 3ms, ... (each event + 1ms lookahead); observers
-  // fire only when a fence first reaches a multiple of 10ms, and once more
-  // at the run_until bound.
-  EXPECT_EQ(window_fences.size(), sharded.windows_run());
-  EXPECT_EQ(observer_fences,
-            (std::vector<std::int64_t>{10000, 20000, 30001}));
-  EXPECT_EQ(sharded.observer_barriers_run(), 3u);
-  EXPECT_GT(sharded.windows_run(), sharded.observer_barriers_run());
-}
-
-TEST(ShardedSim, ObserverBarrierScheduleIsPartitionInvariant) {
-  // The coarse-crossing subset of a partition-invariant fence sequence is
-  // itself partition-invariant: the merger flush schedule cannot depend on
-  // the shard count.
-  auto observers_for = [](int shards) {
-    auto options = opts(shards, 1, Duration::millis(1));
-    options.observer_interval = Duration::millis(10);
-    ShardedSimulator sharded(options);
-    std::vector<std::int64_t> fences;
-    sharded.add_barrier_hook([&fences](SimTime fence) {
-      fences.push_back((fence - SimTime::zero()).count_micros());
-    });
-    for (int i = 0; i < 12; ++i) {
-      sharded.shard(i % shards).schedule_bounded(
-          Duration::millis(1 + 4 * i),
-          i % 3 == 0 ? Duration::millis(6) : Duration::zero(), [] {});
-    }
-    sharded.run();
-    return fences;
-  };
-  const auto one = observers_for(1);
-  EXPECT_EQ(one, observers_for(2));
-  EXPECT_EQ(one, observers_for(4));
   EXPECT_GE(one.size(), 2u);
 }
 

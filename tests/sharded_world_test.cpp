@@ -193,12 +193,11 @@ TEST(ShardedWorld, MembershipChurnStaysBitIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardedWorld, ArqLossAndChurnTogetherStayBitIdentical) {
-  // Everything at once — sliding-window ARQ under real wireless loss,
-  // membership churn, and the coarse observer-barrier tier — across
-  // 1/2/4/8 shards.  This is the configuration where a partition-dependent
-  // fence, a stale mirror applied at the wrong tier, or a tap merged in
-  // the wrong order would surface as a byte diff.
+// Everything at once — sliding-window ARQ under real wireless loss and
+// membership churn.  This is the configuration where a partition-dependent
+// fence, a stale mirror, or a tap merged in the wrong order would surface
+// as a byte diff.
+ExperimentParams arq_loss_churn_scenario() {
   ExperimentParams params = scenario(0x7e14ull);
   params.sim_time = common::Duration::seconds(45);
   params.rdp.arq.mode = core::ArqMode::kSlidingWindow;
@@ -210,6 +209,11 @@ TEST(ShardedWorld, ArqLossAndChurnTogetherStayBitIdentical) {
       {common::Duration::seconds(21), 2, true},
       {common::Duration::seconds(27), 4, false},
   };
+  return params;
+}
+
+TEST(ShardedWorld, ArqLossAndChurnTogetherStayBitIdentical) {
+  ExperimentParams params = arq_loss_churn_scenario();
   params.shards = 1;
   const ExperimentResult one = run_sharded_rdp_experiment(params);
   EXPECT_GT(one.counters.at("arq.retransmits"), 0u);
@@ -282,6 +286,36 @@ TEST(ShardedWorld, ProfilingIsBitNeutralAcrossShardCounts) {
     std::remove(profiled.analyzer_out.c_str());
   }
   std::remove(plain.analyzer_out.c_str());
+}
+
+TEST(ShardedWorld, MetricsCsvIsBitIdenticalAcrossShardCounts) {
+  // The metrics time series samples the wire-fed series (rdp.cost.*,
+  // rdp.energy.spent_total, rdp.analyzer.*) while the barrier's tap merge
+  // replays a window, so its bytes pin the barrier schedule itself: a
+  // partition-dependent fence or flush would move a sample while leaving
+  // every ExperimentResult field alone.  ARQ under loss, churn and the
+  // analyzer, sampled every 10 s, across 1/2/4/8 shards.
+  const std::string dir = ::testing::TempDir();
+  auto metrics_csv = [&dir](int shards) {
+    ExperimentParams params = arq_loss_churn_scenario();
+    params.analyzer = true;
+    params.metrics_period = common::Duration::seconds(10);
+    params.metrics_out =
+        dir + "/metrics_csv_" + std::to_string(shards) + ".csv";
+    params.shards = shards;
+    params.shard_threads = shards > 2 ? 2 : 1;
+    run_sharded_rdp_experiment(params);
+    std::string csv = read_file(params.metrics_out);
+    std::remove(params.metrics_out.c_str());
+    return csv;
+  };
+  const std::string reference = metrics_csv(1);
+  ASSERT_NE(reference.find("rdp.cost.bytes"), std::string::npos);
+  ASSERT_NE(reference.find("rdp.analyzer.frames"), std::string::npos);
+  for (int shards : {2, 4, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EXPECT_EQ(metrics_csv(shards), reference);
+  }
 }
 
 TEST(ShardedWorld, PingPongMobilityRunsSharded) {
