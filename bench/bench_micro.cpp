@@ -34,6 +34,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "analyzer/analyzer.h"
@@ -285,7 +286,8 @@ struct NullEndpoint final : net::Endpoint {
   void on_message(const net::Envelope&) override { ++received; }
 };
 
-struct PingMsg final : net::MessageBase {
+struct PingMsg final : net::Message<PingMsg> {
+  auto fields() const { return std::tie(); }
   const char* name() const override { return "ping"; }
 };
 

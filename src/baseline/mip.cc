@@ -62,22 +62,21 @@ void MipMss::on_uplink(MhId from, const net::PayloadPtr& payload) {
 void MipMss::tunnel_to(NodeAddress care_of, MhId mh, RequestId request,
                        const std::string& body, std::uint32_t attempt) {
   ++tunnels_;
+  // Home and care-of coincide: deliver over our own cell.
+  const bool local = care_of == address_;
+  net::PayloadPtr message =
+      local ? net::make_message<core::MsgDownlinkResult>(
+                  request, /*seq=*/1, /*final=*/true, body, attempt)
+            : net::make_message<MsgMipTunnel>(mh, request, body, attempt);
   if (attempt > 1) {
     count("mip.retunnels");
-    resend_bytes_ += 28 + body.size();
+    resend_bytes_ += message->wire_size();
   }
-  if (care_of == address_) {
-    // Home and care-of coincide: deliver over our own cell.
-    runtime_.wireless.downlink(
-        cell_, mh,
-        net::make_message<core::MsgDownlinkResult>(request, /*seq=*/1,
-                                                   /*final=*/true, body,
-                                                   attempt));
-    return;
+  if (local) {
+    runtime_.wireless.downlink(cell_, mh, std::move(message));
+  } else {
+    runtime_.wired.send(address_, care_of, std::move(message));
   }
-  runtime_.wired.send(address_, care_of,
-                      net::make_message<MsgMipTunnel>(mh, request, body,
-                                                      attempt));
 }
 
 void MipMss::handle_registration(const MsgMipRegistration& msg) {

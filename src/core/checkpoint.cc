@@ -1,10 +1,12 @@
 #include "core/checkpoint.h"
 
+#include "net/codec.h"
+
 namespace rdp::core {
 
 void ProxyCheckpointStore::put(common::MssId mss, ProxyCheckpoint record) {
   ++writes_;
-  bytes_written_ += record.wire_size();
+  bytes_written_ += net::encoded_size(record);
   if (config_.write_latency <= common::Duration::zero()) {
     durable_[mss][record.proxy] = std::move(record);
     return;

@@ -59,15 +59,11 @@ struct ProxyCheckpoint {
   std::vector<Request> requests;
 
   // Wire layout, as for the messages (core/messages.h): a vector travels as
-  // a u32 count followed by its elements.
+  // a u32 count followed by its elements.  net::encoded_size() walks it for
+  // the store's bytes_written().
   [[nodiscard]] auto fields() const {
     return std::tie(proxy, mh, current_loc, requests);
   }
-
-  // Exact encoded size (defined with the codec): a size-only walk over
-  // fields(), so bytes_written() and replication-traffic accounting agree
-  // with what a socket deployment would ship.
-  [[nodiscard]] std::size_t wire_size() const;
 };
 
 class ProxyCheckpointStore {

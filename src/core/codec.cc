@@ -13,6 +13,8 @@
 namespace rdp::core {
 namespace {
 
+using net::Declared;
+using net::put;
 using net::Reader;
 using net::Writer;
 
@@ -22,18 +24,13 @@ using net::Writer;
 // overflow.  Anything deeper than this is corrupt by construction.
 constexpr int kMaxArqNesting = 4;
 
-// Counts the bytes a Writer would append, for sizes without a buffer.
-class Sizer {
+// A Writer that nests a carried message as a length-prefixed encoding.
+class Encoder : public Writer {
  public:
-  void u8(std::uint8_t) { size_ += 1; }
-  void u32(std::uint32_t) { size_ += 4; }
-  void u64(std::uint64_t) { size_ += 8; }
-  void boolean(bool) { size_ += 1; }
-  void str(std::string_view value) { size_ += 4 + value.size(); }
-  [[nodiscard]] std::size_t size() const { return size_; }
-
- private:
-  std::size_t size_ = 0;
+  void message(const net::MessageBase& inner) {
+    const std::vector<std::uint8_t> bytes = encode(inner);
+    str({reinterpret_cast<const char*>(bytes.data()), bytes.size()});
+  }
 };
 
 // A Reader that knows how many arqData frames enclose what it reads.
@@ -50,46 +47,7 @@ class Source : public Reader {
 net::PayloadPtr decode_impl(const std::uint8_t* data, std::size_t size,
                             int depth);
 
-// --- One put (to a Writer or a Sizer) and one get per field type ------------
-
-template <typename Sink>
-void put(Sink& out, bool value) {
-  out.boolean(value);
-}
-template <typename Sink>
-void put(Sink& out, std::uint32_t value) {
-  out.u32(value);
-}
-template <typename Sink>
-void put(Sink& out, std::uint64_t value) {
-  out.u64(value);
-}
-template <typename Sink>
-void put(Sink& out, const std::string& value) {
-  out.str(value);
-}
-template <typename Sink, typename Tag>
-void put(Sink& out, common::Id<Tag> id) {
-  out.u32(id.value());
-}
-template <typename Sink>
-void put(Sink& out, RequestId request) {
-  out.u32(request.mh().value());
-  out.u32(request.seq());
-}
-// The message tag and the membership kinds: one byte each.
-template <typename Sink, typename Enum>
-  requires std::is_enum_v<Enum>
-void put(Sink& out, Enum value) {
-  static_assert(sizeof(Enum) == 1);
-  out.u8(static_cast<std::uint8_t>(value));
-}
-// The inner message travels as a length-prefixed nested encoding, so the
-// ARQ layer stays oblivious to the application vocabulary.
-void put(Writer& out, const net::PayloadPtr& inner) {
-  const std::vector<std::uint8_t> bytes = encode(*inner);
-  out.str({reinterpret_cast<const char*>(bytes.data()), bytes.size()});
-}
+// --- One get per field type (net/codec.h has the puts) --------------------
 
 void get(Source& in, bool& value) { value = in.boolean(); }
 void get(Source& in, std::uint32_t& value) { value = in.u32(); }
@@ -131,9 +89,6 @@ void get(Source& in, net::PayloadPtr& inner) {
 
 // --- Structures: a fields() declaration, or a vector of them ---------------
 
-template <typename T>
-concept Declared = requires(const T& value) { value.fields(); };
-
 // The decoded values of T's fields(), in wire order.
 template <typename Tuple>
 struct ValuesOf;
@@ -146,26 +101,10 @@ using Values =
     typename ValuesOf<decltype(std::declval<const T&>().fields())>::type;
 
 // Declared ahead: a structure's fields may be vectors of structures.
-template <typename Sink, Declared T>
-void put(Sink& out, const T& value);
-template <typename Sink, typename T>
-void put(Sink& out, const std::vector<T>& items);
 template <Declared T>
 void get(Source& in, T& value);
 template <typename T>
 void get(Source& in, std::vector<T>& items);
-
-template <typename Sink, Declared T>
-void put(Sink& out, const T& value) {
-  std::apply([&out](const auto&... field) { (put(out, field), ...); },
-             value.fields());
-}
-
-template <typename Sink, typename T>
-void put(Sink& out, const std::vector<T>& items) {
-  out.u32(static_cast<std::uint32_t>(items.size()));
-  for (const T& item : items) put(out, item);
-}
 
 template <Declared T>
 Values<T> get_values(Source& in) {
@@ -195,7 +134,7 @@ void get(Source& in, std::vector<T>& items) {
 struct Entry {
   MessageTag tag;
   const std::type_info* type;
-  void (*encode)(Writer&, const net::MessageBase&);
+  void (*encode)(Encoder&, const net::MessageBase&);
   net::PayloadPtr (*decode)(Source&);
 };
 
@@ -205,7 +144,7 @@ constexpr Entry entry(MessageTag tag) {
   // message must not exist.
   static_assert(std::is_final_v<T>);
   return {tag, &typeid(T),
-          [](Writer& out, const net::MessageBase& message) {
+          [](Encoder& out, const net::MessageBase& message) {
             put(out, static_cast<const T&>(message));
           },
           [](Source& in) {
@@ -287,12 +226,6 @@ net::PayloadPtr decode_impl(const std::uint8_t* data, std::size_t size,
 
 }  // namespace
 
-std::size_t ProxyCheckpoint::wire_size() const {
-  Sizer sizer;
-  put(sizer, *this);
-  return sizer.size();
-}
-
 bool is_core_message(const net::MessageBase& message) {
   return find_entry(message) != nullptr;
 }
@@ -302,10 +235,10 @@ std::vector<std::uint8_t> encode(const net::MessageBase& message) {
   const Entry* row = find_entry(message);
   RDP_CHECK(row != nullptr,
             std::string("cannot encode message type: ") + message.name());
-  Writer writer;
-  put(writer, row->tag);
-  row->encode(writer, message);
-  return writer.bytes();
+  Encoder encoder;
+  put(encoder, row->tag);
+  row->encode(encoder, message);
+  return encoder.bytes();
 }
 
 net::PayloadPtr decode(const std::vector<std::uint8_t>& buffer) {

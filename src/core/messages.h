@@ -8,9 +8,9 @@
 //
 // Each message's fields() is its wire layout, declared once: its encoded
 // members in wire order, which is also member order and constructor order.
-// core/codec.cc walks it to encode, decode and size the message; adding a
-// message takes its struct, its fields() and one row in the codec's tag
-// table.
+// core/codec.cc walks it to encode and decode the message, and
+// net::Message walks it for wire_size(); adding a message takes its struct,
+// its fields() and one row in the codec's tag table.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +62,6 @@ struct Pref {
   [[nodiscard]] auto fields() const {
     return std::tie(proxy_host, proxy, rkpr, rkpr_request, rkpr_seq);
   }
-
-  // Encoded size: host address + proxy id + flag + request id + seq.
-  [[nodiscard]] static constexpr std::size_t wire_size() { return 28; }
 };
 
 // ---------------------------------------------------------------------------
@@ -74,31 +71,28 @@ struct Pref {
 // First contact with the system (§2): "In order to join the system, a Mh
 // sends a join message to the Mss in charge for the cell it is currently
 // in."
-struct MsgJoin final : net::MessageBase {
+struct MsgJoin final : net::Message<MsgJoin> {
   [[nodiscard]] auto fields() const { return std::tie(); }
   [[nodiscard]] const char* name() const override { return "join"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
 
 // Departure (§2): only legal once every received message was acknowledged
 // (assumption 6).
-struct MsgLeave final : net::MessageBase {
+struct MsgLeave final : net::Message<MsgLeave> {
   [[nodiscard]] auto fields() const { return std::tie(); }
   [[nodiscard]] const char* name() const override { return "leave"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
 
 // Cell entry / re-activation (§2): "Whenever a Mh enters a new cell it
 // sends a greet(oldMss) message to the Mss responsible for the target
 // cell."  `old_mss` is the Mss the Mh last completed a registration with;
 // old_mss == receiving Mss means re-activation, no hand-off.
-struct MsgGreet final : net::MessageBase {
+struct MsgGreet final : net::Message<MsgGreet> {
   MssId old_mss;
 
   explicit MsgGreet(MssId old_mss_in) : old_mss(old_mss_in) {}
   [[nodiscard]] auto fields() const { return std::tie(old_mss); }
   [[nodiscard]] const char* name() const override { return "greet"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 20; }
   [[nodiscard]] std::string describe() const override {
     return "greet(old=" + old_mss.str() + ")";
   }
@@ -107,7 +101,7 @@ struct MsgGreet final : net::MessageBase {
 // A new service request (§3.1).  `stream` marks a subscription: the server
 // may reply with many results; the request stays pending until a result
 // with `final` set is acknowledged.
-struct MsgUplinkRequest final : net::MessageBase {
+struct MsgUplinkRequest final : net::Message<MsgUplinkRequest> {
   RequestId request;
   NodeAddress server;
   std::string body;
@@ -123,27 +117,23 @@ struct MsgUplinkRequest final : net::MessageBase {
     return std::tie(request, server, body, stream);
   }
   [[nodiscard]] const char* name() const override { return "request"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 32 + body.size();
-  }
   [[nodiscard]] std::string describe() const override {
     return "request(" + request.str() + (stream ? ",stream)" : ")");
   }
 };
 
 // Terminates a stream request; routed through the proxy to the server.
-struct MsgUnsubscribe final : net::MessageBase {
+struct MsgUnsubscribe final : net::Message<MsgUnsubscribe> {
   RequestId request;
 
   explicit MsgUnsubscribe(RequestId request_in) : request(request_in) {}
   [[nodiscard]] auto fields() const { return std::tie(request); }
   [[nodiscard]] const char* name() const override { return "unsubscribe"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
 
 // Acknowledgement of a delivered result (§3.1): forwarded by the respMss
 // to the proxy; handled with the highest priority.
-struct MsgUplinkAck final : net::MessageBase {
+struct MsgUplinkAck final : net::Message<MsgUplinkAck> {
   RequestId request;
   std::uint32_t result_seq;
 
@@ -151,7 +141,6 @@ struct MsgUplinkAck final : net::MessageBase {
       : request(request_in), result_seq(result_seq_in) {}
   [[nodiscard]] auto fields() const { return std::tie(request, result_seq); }
   [[nodiscard]] const char* name() const override { return "ack"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 24; }
   [[nodiscard]] std::string describe() const override {
     return "ack(" + request.str() + "#" + std::to_string(result_seq) + ")";
   }
@@ -164,18 +153,17 @@ struct MsgUplinkAck final : net::MessageBase {
 // Confirms join/greet processing (and hand-off completion).  The paper
 // leaves registration confirmation implicit; an explicit ack is required
 // once the wireless channel can lose frames (DESIGN.md §5).
-struct MsgRegistrationAck final : net::MessageBase {
+struct MsgRegistrationAck final : net::Message<MsgRegistrationAck> {
   MssId mss;
 
   explicit MsgRegistrationAck(MssId mss_in) : mss(mss_in) {}
   [[nodiscard]] auto fields() const { return std::tie(mss); }
   [[nodiscard]] const char* name() const override { return "registrationAck"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 20; }
 };
 
 // A result delivered over the air.  `attempt` counts proxy forwards of this
 // result (1 = first transmission), used by the retransmission experiments.
-struct MsgDownlinkResult final : net::MessageBase {
+struct MsgDownlinkResult final : net::Message<MsgDownlinkResult> {
   RequestId request;
   std::uint32_t result_seq;
   bool final;
@@ -194,9 +182,6 @@ struct MsgDownlinkResult final : net::MessageBase {
     return std::tie(request, result_seq, final, body, attempt);
   }
   [[nodiscard]] const char* name() const override { return "result"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 32 + body.size();
-  }
   [[nodiscard]] std::string describe() const override {
     return "result(" + request.str() + "#" + std::to_string(result_seq) +
            ",attempt=" + std::to_string(attempt) + ")";
@@ -218,7 +203,7 @@ struct MsgDownlinkResult final : net::MessageBase {
 // within the epoch from 0; `attempt` counts transmissions of this frame
 // (1 = first send).  The inner message is carried opaquely and re-encoded
 // through the codec.
-struct MsgArqData final : net::MessageBase {
+struct MsgArqData final : net::Message<MsgArqData> {
   std::uint32_t epoch;
   std::uint32_t seq;
   std::uint32_t attempt;
@@ -234,9 +219,6 @@ struct MsgArqData final : net::MessageBase {
     return std::tie(epoch, seq, attempt, inner);
   }
   [[nodiscard]] const char* name() const override { return "arqData"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 16 + inner->wire_size();
-  }
   // Cost accounting and frame taps classify by the application message the
   // frame carries; the ARQ header is transport framing.
   [[nodiscard]] const MessageBase& unwrap() const override {
@@ -252,7 +234,7 @@ struct MsgArqData final : net::MessageBase {
 // respMss -> Mh: cumulative + selective acknowledgement.  Everything below
 // `cum_next` has been delivered in order; bit i of `sack` set means frame
 // `cum_next + 1 + i` was received out of order and need not be resent.
-struct MsgArqAck final : net::MessageBase {
+struct MsgArqAck final : net::Message<MsgArqAck> {
   std::uint32_t epoch;
   std::uint32_t cum_next;
   std::uint64_t sack;
@@ -262,7 +244,6 @@ struct MsgArqAck final : net::MessageBase {
       : epoch(epoch_in), cum_next(cum_next_in), sack(sack_in) {}
   [[nodiscard]] auto fields() const { return std::tie(epoch, cum_next, sack); }
   [[nodiscard]] const char* name() const override { return "arqAck"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 24; }
   [[nodiscard]] std::string describe() const override {
     return "arqAck(e" + std::to_string(epoch) + ",cum=" +
            std::to_string(cum_next) + ")";
@@ -276,7 +257,7 @@ struct MsgArqAck final : net::MessageBase {
 // respMss -> proxy host: a new request to register as pending and relay to
 // the server (§3.1: "Mss forwards the request to the proxy whose address is
 // mentioned in pref").
-struct MsgForwardRequest final : net::MessageBase {
+struct MsgForwardRequest final : net::Message<MsgForwardRequest> {
   MhId mh;
   ProxyId proxy;
   RequestId request;
@@ -296,13 +277,10 @@ struct MsgForwardRequest final : net::MessageBase {
     return std::tie(mh, proxy, request, server, body, stream);
   }
   [[nodiscard]] const char* name() const override { return "forwardRequest"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 40 + body.size();
-  }
 };
 
 // respMss -> proxy host: relay an unsubscribe to the proxy.
-struct MsgForwardUnsubscribe final : net::MessageBase {
+struct MsgForwardUnsubscribe final : net::Message<MsgForwardUnsubscribe> {
   MhId mh;
   ProxyId proxy;
   RequestId request;
@@ -313,13 +291,12 @@ struct MsgForwardUnsubscribe final : net::MessageBase {
   [[nodiscard]] const char* name() const override {
     return "forwardUnsubscribe";
   }
-  [[nodiscard]] std::size_t wire_size() const override { return 32; }
 };
 
 // proxy -> server: the request as seen by the server.  "From the
 // perspective of the server, service access is identical to the one by a
 // static client" (§3): the reply address is the proxy's fixed location.
-struct MsgServerRequest final : net::MessageBase {
+struct MsgServerRequest final : net::Message<MsgServerRequest> {
   NodeAddress reply_to;  // proxy host address
   ProxyId proxy;
   RequestId request;
@@ -337,13 +314,10 @@ struct MsgServerRequest final : net::MessageBase {
     return std::tie(reply_to, proxy, request, body, stream);
   }
   [[nodiscard]] const char* name() const override { return "serverRequest"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 36 + body.size();
-  }
 };
 
 // proxy -> server: stop a stream request.
-struct MsgServerUnsubscribe final : net::MessageBase {
+struct MsgServerUnsubscribe final : net::Message<MsgServerUnsubscribe> {
   ProxyId proxy;
   RequestId request;
 
@@ -353,12 +327,11 @@ struct MsgServerUnsubscribe final : net::MessageBase {
   [[nodiscard]] const char* name() const override {
     return "serverUnsubscribe";
   }
-  [[nodiscard]] std::size_t wire_size() const override { return 28; }
 };
 
 // server -> proxy: one result.  Oneshot requests produce a single result
 // with result_seq == 1 and final == true; stream requests produce a series.
-struct MsgServerResult final : net::MessageBase {
+struct MsgServerResult final : net::Message<MsgServerResult> {
   ProxyId proxy;
   RequestId request;
   std::uint32_t result_seq;
@@ -377,27 +350,23 @@ struct MsgServerResult final : net::MessageBase {
     return std::tie(proxy, request, result_seq, final, body);
   }
   [[nodiscard]] const char* name() const override { return "serverResult"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 36 + body.size();
-  }
 };
 
 // proxy -> server: application-level completion ack (§3.1: "possibly sends
 // an acknowledgment to the server, depending on the particular
 // application-level client-server protocol"); enabled by RdpConfig.
-struct MsgServerAck final : net::MessageBase {
+struct MsgServerAck final : net::Message<MsgServerAck> {
   RequestId request;
 
   explicit MsgServerAck(RequestId request_in) : request(request_in) {}
   [[nodiscard]] auto fields() const { return std::tie(request); }
   [[nodiscard]] const char* name() const override { return "serverAck"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
 
 // proxy host -> respMss: a result to hand to the Mh over the air.  The
 // del-pref flag (§3.3) announces that this is the result of the proxy's
 // last pending request.
-struct MsgResultForward final : net::MessageBase {
+struct MsgResultForward final : net::Message<MsgResultForward> {
   MhId mh;
   NodeAddress proxy_host;
   ProxyId proxy;
@@ -426,9 +395,6 @@ struct MsgResultForward final : net::MessageBase {
                     body, attempt);
   }
   [[nodiscard]] const char* name() const override { return "resultForward"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 48 + body.size();
-  }
   [[nodiscard]] std::string describe() const override {
     return std::string("resultForward(") + request.str() +
            (del_pref ? ",del-pref" : "") + ")";
@@ -438,7 +404,7 @@ struct MsgResultForward final : net::MessageBase {
 // proxy host -> respMss: standalone del-pref (§3.4, Fig 4): sent when the
 // last pending request's result has already been forwarded, so only the
 // flag — not the payload — needs to travel.
-struct MsgDelPref final : net::MessageBase {
+struct MsgDelPref final : net::Message<MsgDelPref> {
   MhId mh;
   NodeAddress proxy_host;
   ProxyId proxy;
@@ -456,12 +422,11 @@ struct MsgDelPref final : net::MessageBase {
     return std::tie(mh, proxy_host, proxy, request, result_seq);
   }
   [[nodiscard]] const char* name() const override { return "delPref"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 32; }
 };
 
 // respMss -> proxy host: Ack forwarded from the Mh (§3.1), possibly
 // carrying del-proxy == true (§3.3) which authorises proxy deletion.
-struct MsgAckForward final : net::MessageBase {
+struct MsgAckForward final : net::Message<MsgAckForward> {
   MhId mh;
   ProxyId proxy;
   RequestId request;
@@ -479,7 +444,6 @@ struct MsgAckForward final : net::MessageBase {
     return std::tie(mh, proxy, request, result_seq, del_proxy);
   }
   [[nodiscard]] const char* name() const override { return "ackForward"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 32; }
   [[nodiscard]] std::string describe() const override {
     return std::string("ackForward(") + request.str() +
            (del_proxy ? ",del-proxy" : "") + ")";
@@ -488,14 +452,13 @@ struct MsgAckForward final : net::MessageBase {
 
 // new Mss -> old Mss: start of the hand-off (§3.2): "asking it to
 // de-register Mh and send back Mh's proxy reference".
-struct MsgDereg final : net::MessageBase {
+struct MsgDereg final : net::Message<MsgDereg> {
   MhId mh;
   MssId new_mss;
 
   MsgDereg(MhId mh_in, MssId new_mss_in) : mh(mh_in), new_mss(new_mss_in) {}
   [[nodiscard]] auto fields() const { return std::tie(mh, new_mss); }
   [[nodiscard]] const char* name() const override { return "dereg"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 24; }
   [[nodiscard]] std::string describe() const override {
     return "dereg(" + mh.str() + ")";
   }
@@ -505,16 +468,13 @@ struct MsgDereg final : net::MessageBase {
 // *only* per-Mh protocol state that migrates (§5: "except for the proxy
 // reference, neither result forwarding pointers nor other residue ... need
 // to be kept at the Mss").
-struct MsgDeregAck final : net::MessageBase {
+struct MsgDeregAck final : net::Message<MsgDeregAck> {
   MhId mh;
   Pref pref;
 
   MsgDeregAck(MhId mh_in, Pref pref_in) : mh(mh_in), pref(pref_in) {}
   [[nodiscard]] auto fields() const { return std::tie(mh, pref); }
   [[nodiscard]] const char* name() const override { return "deregAck"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 16 + Pref::wire_size();
-  }
   [[nodiscard]] std::string describe() const override {
     return "deregAck(" + mh.str() +
            (pref.has_proxy() ? ",pref=" + pref.proxy_host.str() : ",pref=null") +
@@ -525,7 +485,7 @@ struct MsgDeregAck final : net::MessageBase {
 // respMss -> proxy host: location update after hand-off or re-activation
 // (§3.1).  The proxy updates currentLoc and re-sends unacknowledged
 // results.
-struct MsgUpdateCurrentLoc final : net::MessageBase {
+struct MsgUpdateCurrentLoc final : net::Message<MsgUpdateCurrentLoc> {
   MhId mh;
   ProxyId proxy;
   NodeAddress new_loc;
@@ -536,7 +496,6 @@ struct MsgUpdateCurrentLoc final : net::MessageBase {
   [[nodiscard]] const char* name() const override {
     return "update_currentLoc";
   }
-  [[nodiscard]] std::size_t wire_size() const override { return 28; }
   [[nodiscard]] std::string describe() const override {
     return "update_currentLoc(" + mh.str() + "->" + new_loc.str() + ")";
   }
@@ -549,7 +508,7 @@ struct MsgUpdateCurrentLoc final : net::MessageBase {
 // Mss's, a causality the wired causal layer cannot see).  The proxy
 // refuses deletion and asks the respMss to re-install the pref so the
 // pending results can still be delivered and acknowledged.
-struct MsgPrefRestore final : net::MessageBase {
+struct MsgPrefRestore final : net::Message<MsgPrefRestore> {
   MhId mh;
   NodeAddress proxy_host;
   ProxyId proxy;
@@ -558,14 +517,13 @@ struct MsgPrefRestore final : net::MessageBase {
       : mh(mh_in), proxy_host(proxy_host_in), proxy(proxy_in) {}
   [[nodiscard]] auto fields() const { return std::tie(mh, proxy_host, proxy); }
   [[nodiscard]] const char* name() const override { return "prefRestore"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
 
 // proxy host -> respMss: reply to a message addressed to a proxy that no
 // longer exists (only possible when the idle-proxy GC extension is enabled,
 // or in ablations that break the deletion handshake).  Carries the original
 // request so the respMss can recreate a proxy locally and retry.
-struct MsgProxyGone final : net::MessageBase {
+struct MsgProxyGone final : net::Message<MsgProxyGone> {
   MhId mh;
   ProxyId proxy;
   RequestId request;
@@ -588,9 +546,6 @@ struct MsgProxyGone final : net::MessageBase {
     return std::tie(mh, proxy, request, server, body, stream, had_request);
   }
   [[nodiscard]] const char* name() const override { return "proxyGone"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 40 + body.size();
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -608,7 +563,7 @@ struct MsgProxyGone final : net::MessageBase {
 // primary -> backup: one proxy's full state after a mutation.  `seq` is a
 // per-primary shipping counter so a reordered or duplicated delta can never
 // roll the shadow record back.
-struct MsgReplicaUpdate final : net::MessageBase {
+struct MsgReplicaUpdate final : net::Message<MsgReplicaUpdate> {
   MssId primary;
   std::uint64_t seq;
   ProxyCheckpoint record;
@@ -618,9 +573,6 @@ struct MsgReplicaUpdate final : net::MessageBase {
       : primary(primary_in), seq(seq_in), record(std::move(record_in)) {}
   [[nodiscard]] auto fields() const { return std::tie(primary, seq, record); }
   [[nodiscard]] const char* name() const override { return "replicaUpdate"; }
-  [[nodiscard]] std::size_t wire_size() const override {
-    return 16 + record.wire_size();
-  }
   [[nodiscard]] std::string describe() const override {
     return "replicaUpdate(" + record.proxy.str() + "," + record.mh.str() + ")";
   }
@@ -628,7 +580,7 @@ struct MsgReplicaUpdate final : net::MessageBase {
 
 // primary -> backup: the proxy completed its deletion handshake; drop its
 // shadow record.
-struct MsgReplicaErase final : net::MessageBase {
+struct MsgReplicaErase final : net::Message<MsgReplicaErase> {
   MssId primary;
   std::uint64_t seq;
   ProxyId proxy;
@@ -637,34 +589,31 @@ struct MsgReplicaErase final : net::MessageBase {
       : primary(primary_in), seq(seq_in), proxy(proxy_in) {}
   [[nodiscard]] auto fields() const { return std::tie(primary, seq, proxy); }
   [[nodiscard]] const char* name() const override { return "replicaErase"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
 
 // primary -> backup: lease renewal while the primary has replicated proxies
 // but no state changes to ship.
-struct MsgReplicaHeartbeat final : net::MessageBase {
+struct MsgReplicaHeartbeat final : net::Message<MsgReplicaHeartbeat> {
   MssId primary;
 
   explicit MsgReplicaHeartbeat(MssId primary_in) : primary(primary_in) {}
   [[nodiscard]] auto fields() const { return std::tie(primary); }
   [[nodiscard]] const char* name() const override { return "replicaHeartbeat"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
 
 // restarted backup -> primary: the backup lost its (volatile) shadow table
 // in its own crash; ask the primary to re-ship every live proxy.
-struct MsgReplicaResync final : net::MessageBase {
+struct MsgReplicaResync final : net::Message<MsgReplicaResync> {
   MssId backup;
 
   explicit MsgReplicaResync(MssId backup_in) : backup(backup_in) {}
   [[nodiscard]] auto fields() const { return std::tie(backup); }
   [[nodiscard]] const char* name() const override { return "replicaResync"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
 
 // promoted backup -> respMss: the proxy at (old_host, old_proxy) lives on
 // as (new_host, new_proxy); rewrite the Mh's pref so delivery resumes.
-struct MsgPrefRepair final : net::MessageBase {
+struct MsgPrefRepair final : net::Message<MsgPrefRepair> {
   MhId mh;
   NodeAddress old_host;
   ProxyId old_proxy;
@@ -682,7 +631,6 @@ struct MsgPrefRepair final : net::MessageBase {
     return std::tie(mh, old_host, old_proxy, new_host, new_proxy);
   }
   [[nodiscard]] const char* name() const override { return "prefRepair"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 32; }
   [[nodiscard]] std::string describe() const override {
     return "prefRepair(" + mh.str() + "->" + new_host.str() + ")";
   }
@@ -691,7 +639,7 @@ struct MsgPrefRepair final : net::MessageBase {
 // respMss -> promoted backup: the repair lost its race (a fresh proxy
 // already took over, or the Mh is gone for good); the adopted incarnation
 // is garbage and the backup should reclaim it.
-struct MsgPrefRepairNack final : net::MessageBase {
+struct MsgPrefRepairNack final : net::Message<MsgPrefRepairNack> {
   MhId mh;
   ProxyId new_proxy;
 
@@ -699,7 +647,6 @@ struct MsgPrefRepairNack final : net::MessageBase {
       : mh(mh_in), new_proxy(new_proxy_in) {}
   [[nodiscard]] auto fields() const { return std::tie(mh, new_proxy); }
   [[nodiscard]] const char* name() const override { return "prefRepairNack"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 20; }
 };
 
 // respMss -> backup of a dead Mss: transfer-resume handshake for the
@@ -708,7 +655,7 @@ struct MsgPrefRepairNack final : net::MessageBase {
 // the adopted incarnation instead of waiting for the Mh watchdog.
 // `old_proxy` may be invalid when only the host is known (greet path); the
 // backup then resolves the proxy by Mh.
-struct MsgTransferResume final : net::MessageBase {
+struct MsgTransferResume final : net::Message<MsgTransferResume> {
   MhId mh;
   NodeAddress old_host;
   ProxyId old_proxy;
@@ -719,7 +666,6 @@ struct MsgTransferResume final : net::MessageBase {
     return std::tie(mh, old_host, old_proxy);
   }
   [[nodiscard]] const char* name() const override { return "transferResume"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 24; }
   [[nodiscard]] std::string describe() const override {
     return "transferResume(" + mh.str() + "," + old_host.str() + ")";
   }
@@ -740,7 +686,7 @@ struct MsgTransferResume final : net::MessageBase {
 
 // chain tail -> primary: the delta with shipping counter `seq` reached the
 // end of the chain; every member between head and tail has applied it.
-struct MsgChainAck final : net::MessageBase {
+struct MsgChainAck final : net::Message<MsgChainAck> {
   MssId primary;
   std::uint64_t seq;
   MssId member;  // the acking tail
@@ -749,7 +695,6 @@ struct MsgChainAck final : net::MessageBase {
       : primary(primary_in), seq(seq_in), member(member_in) {}
   [[nodiscard]] auto fields() const { return std::tie(primary, seq, member); }
   [[nodiscard]] const char* name() const override { return "chainAck"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
 
 // primary -> chain: brackets a re-replication snapshot after a chain
@@ -758,7 +703,7 @@ struct MsgChainAck final : net::MessageBase {
 // before the first record arrives; the commit fence closes the bracket and
 // makes the shadow promotable.  `fence_seq` is the primary's shipping
 // counter at the bracket boundary: promotion is never ahead of the fence.
-struct MsgReplicaFence final : net::MessageBase {
+struct MsgReplicaFence final : net::Message<MsgReplicaFence> {
   MssId primary;
   std::uint64_t epoch;  // membership epoch that triggered the re-replication
   std::uint64_t fence_seq;
@@ -774,7 +719,6 @@ struct MsgReplicaFence final : net::MessageBase {
     return std::tie(primary, epoch, fence_seq, commit);
   }
   [[nodiscard]] const char* name() const override { return "replicaFence"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 32; }
   [[nodiscard]] std::string describe() const override {
     return std::string("replicaFence(") + primary.str() + "," +
            (commit ? "commit" : "begin") + ")";
@@ -783,7 +727,7 @@ struct MsgReplicaFence final : net::MessageBase {
 
 // chain member -> primary: acknowledges the commit fence; the member's
 // shadow of `primary` is complete up to the fence and promotable.
-struct MsgReplicaFenceAck final : net::MessageBase {
+struct MsgReplicaFenceAck final : net::Message<MsgReplicaFenceAck> {
   MssId primary;
   std::uint64_t epoch;
   MssId member;
@@ -792,7 +736,6 @@ struct MsgReplicaFenceAck final : net::MessageBase {
       : primary(primary_in), epoch(epoch_in), member(member_in) {}
   [[nodiscard]] auto fields() const { return std::tie(primary, epoch, member); }
   [[nodiscard]] const char* name() const override { return "replicaFenceAck"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 24; }
 };
 
 enum class MembershipEventKind : std::uint8_t {
@@ -806,7 +749,7 @@ enum class MembershipEventKind : std::uint8_t {
 // Mss-id order so the wire view of every transition is deterministic.
 // `subject_address` lets a passive observer correlate the event with proxy
 // traffic that names the subject by wired address (e.g. prefRepair).
-struct MsgMembershipEvent final : net::MessageBase {
+struct MsgMembershipEvent final : net::Message<MsgMembershipEvent> {
   MssId subject;
   NodeAddress subject_address;
   MembershipEventKind kind;
@@ -822,7 +765,6 @@ struct MsgMembershipEvent final : net::MessageBase {
     return std::tie(subject, subject_address, kind, epoch);
   }
   [[nodiscard]] const char* name() const override { return "membershipEvent"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 28; }
   [[nodiscard]] std::string describe() const override {
     static constexpr const char* kKinds[] = {"suspect", "departed", "rejoined",
                                              "alive"};
@@ -842,7 +784,7 @@ enum class MembershipReportKind : std::uint8_t {
 // itself.  A suspect report triggers a probe of the subject; an alive reply
 // resolves it; a rejoin request re-admits a fenced primary after a
 // partition heals.
-struct MsgMembershipReport final : net::MessageBase {
+struct MsgMembershipReport final : net::Message<MsgMembershipReport> {
   MssId reporter;
   MssId subject;
   MembershipReportKind kind;
@@ -854,19 +796,17 @@ struct MsgMembershipReport final : net::MessageBase {
     return std::tie(reporter, subject, kind);
   }
   [[nodiscard]] const char* name() const override { return "membershipReport"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 20; }
 };
 
 // membership service -> suspected Mss: are you reachable?  A live subject
 // answers with MsgMembershipReport(kAlive); a crashed or partitioned one
 // cannot, and departs when the probe times out.
-struct MsgMembershipProbe final : net::MessageBase {
+struct MsgMembershipProbe final : net::Message<MsgMembershipProbe> {
   MssId subject;
 
   explicit MsgMembershipProbe(MssId subject_in) : subject(subject_in) {}
   [[nodiscard]] auto fields() const { return std::tie(subject); }
   [[nodiscard]] const char* name() const override { return "membershipProbe"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 16; }
 };
 
 // backup -> departed-but-up primary: you were declared departed (epoch on
@@ -874,7 +814,7 @@ struct MsgMembershipProbe final : net::MessageBase {
 // replication traffic reaches a chain member, so a partitioned primary is
 // fenced off the moment the partition heals instead of racing the promoted
 // backup.
-struct MsgPrimaryFence final : net::MessageBase {
+struct MsgPrimaryFence final : net::Message<MsgPrimaryFence> {
   MssId primary;
   std::uint64_t epoch;
 
@@ -882,7 +822,6 @@ struct MsgPrimaryFence final : net::MessageBase {
       : primary(primary_in), epoch(epoch_in) {}
   [[nodiscard]] auto fields() const { return std::tie(primary, epoch); }
   [[nodiscard]] const char* name() const override { return "primaryFence"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 20; }
   [[nodiscard]] std::string describe() const override {
     return "primaryFence(" + primary.str() + ")";
   }

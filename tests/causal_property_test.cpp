@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "causal/causal_layer.h"
@@ -22,11 +23,12 @@ using common::Duration;
 using common::NodeAddress;
 using common::Rng;
 
-struct StampedMsg final : net::MessageBase {
-  VectorClock stamp;
+struct StampedMsg final : net::Message<StampedMsg> {
+  VectorClock stamp;  // the oracle's, not carried on the wire
   int id;
   StampedMsg(VectorClock stamp_in, int id_in)
       : stamp(std::move(stamp_in)), id(id_in) {}
+  [[nodiscard]] auto fields() const { return std::tie(id); }
   [[nodiscard]] const char* name() const override { return "stamped"; }
 };
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <string>
 #include <unordered_map>
+#include <tuple>
 #include <vector>
 
 #include "causal/causal_layer.h"
 #include "common/rng.h"
+#include "core/messages.h"
 #include "net/wired.h"
 #include "sim/simulator.h"
 #include "tests/vector_clock.h"
@@ -18,9 +20,10 @@ using common::Duration;
 using common::NodeAddress;
 using common::Rng;
 
-struct TestMsg final : net::MessageBase {
-  std::string tag;
+struct TestMsg final : net::Message<TestMsg> {
+  std::string tag;  // test bookkeeping, not sized: every TestMsg is 5 B
   explicit TestMsg(std::string t) : tag(std::move(t)) {}
+  [[nodiscard]] auto fields() const { return std::tie(); }
   [[nodiscard]] const char* name() const override { return "test"; }
 };
 
@@ -240,7 +243,7 @@ TEST_F(CausalTest, WireSizeIncludesMatrixOverhead) {
   });
   layer_->send(NodeAddress(0), NodeAddress(1),
                net::make_message<TestMsg>("x"), sim::EventPriority::kNormal);
-  EXPECT_EQ(observed, 64u + 4u);  // inner default 64 + entry count
+  EXPECT_EQ(observed, TestMsg("x").wire_size() + 4u);  // + entry count
   sim_.run();
 }
 
@@ -313,6 +316,42 @@ struct ManualTransport final : net::WiredTransport {
     endpoints.at(sent[i].dst)->on_message(sent[i]);
   }
 };
+
+// The causal envelope keeps its own rule on top of the inner message's
+// derived size: a u32 entry count plus 12 B per piggybacked SENT cell.
+TEST(WireSize, CausalEnvelopeAddsCountAndEntries) {
+  struct Sink final : net::Endpoint {
+    void on_message(const net::Envelope&) override {}
+  };
+  ManualTransport transport;
+  CausalLayer layer(transport);
+  Sink a, b;
+  layer.attach(NodeAddress(0), &a);
+  layer.attach(NodeAddress(1), &b);
+  const core::MsgDereg dereg(common::MhId(4), common::MssId(1));
+  for (int i = 0; i < 2; ++i) {
+    layer.send(NodeAddress(0), NodeAddress(1),
+               net::make_message<core::MsgDereg>(dereg),
+               sim::EventPriority::kNormal);
+  }
+  layer.send(NodeAddress(1), NodeAddress(0),
+             net::make_message<core::MsgDereg>(dereg),
+             sim::EventPriority::kNormal);
+  transport.deliver(2);
+  layer.send(NodeAddress(0), NodeAddress(1),
+             net::make_message<core::MsgDereg>(dereg),
+             sim::EventPriority::kNormal);
+  // Entries: none on a fresh layer; then the link's own count [A][B]; none
+  // on B's first send (B knows no nonzero cell); once A has B's message,
+  // [A][B] and [B][A].
+  ASSERT_EQ(transport.sent.size(), 4u);
+  const std::size_t inner = dereg.wire_size();
+  EXPECT_EQ(inner, 4u + 1 + 4 + 4);
+  EXPECT_EQ(transport.sent[0].payload->wire_size(), inner + 4);
+  EXPECT_EQ(transport.sent[1].payload->wire_size(), inner + 4 + 12 * 1);
+  EXPECT_EQ(transport.sent[2].payload->wire_size(), inner + 4);
+  EXPECT_EQ(transport.sent[3].payload->wire_size(), inner + 4 + 12 * 2);
+}
 
 // Lazy-attach mode widens the layer when a node attaches after traffic
 // has flowed.  Each message carries the SENT cells that changed since the

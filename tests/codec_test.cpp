@@ -3,9 +3,13 @@
 // bytes must throw CodecError, never crash or mis-decode).
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "baseline/messages.h"
 #include "common/check.h"
 #include "core/codec.h"
 #include "net/codec.h"
+#include "tis/messages.h"
 
 namespace rdp {
 namespace {
@@ -220,9 +224,10 @@ TEST(CoreCodec, ArqDataNestsInnerMessage) {
   EXPECT_EQ(inner->server, NodeAddress(4));
   EXPECT_EQ(inner->body, "query");
   EXPECT_TRUE(inner->stream);
-  // Framing overhead is the 16-byte ARQ header on top of the inner payload,
-  // and unwrap() reaches through to the application message for taps.
-  EXPECT_EQ(decoded->wire_size(), 16 + inner->wire_size());
+  // On top of the inner frame: the frame header, the tag and the 12-byte
+  // ARQ header; unwrap() reaches through to the application message for
+  // taps.
+  EXPECT_EQ(decoded->wire_size(), 4 + 1 + 12 + inner->wire_size());
   EXPECT_STREQ(decoded->unwrap().name(), "request");
 }
 
@@ -378,9 +383,9 @@ TEST(CoreCodec, HostileMembershipKindThrows) {
   EXPECT_THROW((void)core::decode(report), net::CodecError);
 }
 
-// ProxyCheckpoint::wire_size() is the *real* encoded size, not an
-// estimate: a checkpoint-carrying update's advertised size must equal the
-// encoder's byte count exactly (modulo the update's own fixed header).
+// A checkpoint's size is the *real* encoded size, not an estimate: it must
+// equal the encoder's byte count for a checkpoint-carrying update exactly
+// (modulo the update's own fixed header).
 TEST(CoreCodec, CheckpointWireSizeMatchesEncoding) {
   core::ProxyCheckpoint record;
   record.proxy = ProxyId(1);
@@ -403,7 +408,7 @@ TEST(CoreCodec, CheckpointWireSizeMatchesEncoding) {
   const core::MsgReplicaUpdate update(MssId(0), 1, record);
   const std::vector<std::uint8_t> encoded = core::encode(update);
   // encode() emits 1 tag byte + primary (u32) + seq (u64) + the record.
-  EXPECT_EQ(record.wire_size(), encoded.size() - 1 - 4 - 8);
+  EXPECT_EQ(net::encoded_size(record), encoded.size() - 1 - 4 - 8);
 
   // An empty record also matches (no per-request terms).
   core::ProxyCheckpoint empty;
@@ -412,7 +417,7 @@ TEST(CoreCodec, CheckpointWireSizeMatchesEncoding) {
   empty.current_loc = NodeAddress(3);
   const std::vector<std::uint8_t> empty_encoded =
       core::encode(core::MsgReplicaUpdate(MssId(0), 2, empty));
-  EXPECT_EQ(empty.wire_size(), empty_encoded.size() - 1 - 4 - 8);
+  EXPECT_EQ(net::encoded_size(empty), empty_encoded.size() - 1 - 4 - 8);
 }
 
 // --- robustness ----------------------------------------------------------------
@@ -445,7 +450,8 @@ TEST(CoreCodec, EmptyBufferThrows) {
 }
 
 TEST(CoreCodec, NonCoreMessageRejectedByEncode) {
-  struct Alien final : net::MessageBase {
+  struct Alien final : net::Message<Alien> {
+    auto fields() const { return std::tie(); }
     const char* name() const override { return "alien"; }
   };
   EXPECT_THROW((void)core::encode(Alien{}), common::InvariantViolation);
@@ -453,7 +459,7 @@ TEST(CoreCodec, NonCoreMessageRejectedByEncode) {
 
 // One exemplar of every wire message (all 38 tags), with non-trivial field
 // values so the robustness sweeps exercise every decoder branch.
-std::vector<std::vector<std::uint8_t>> all_message_exemplars() {
+std::vector<net::PayloadPtr> all_messages() {
   const RequestId req(MhId(3), 17);
   core::Pref pref;
   pref.proxy_host = NodeAddress(3);
@@ -473,9 +479,9 @@ std::vector<std::vector<std::uint8_t>> all_message_exemplars() {
   ckpt_req.unacked.push_back({5, false, "partial", 2});
   record.requests.push_back(std::move(ckpt_req));
 
-  std::vector<std::vector<std::uint8_t>> buffers;
-  const auto add = [&buffers](const net::MessageBase& message) {
-    buffers.push_back(core::encode(message));
+  std::vector<net::PayloadPtr> messages;
+  const auto add = [&messages]<typename T>(T message) {
+    messages.push_back(net::make_message<T>(std::move(message)));
   };
   add(core::MsgJoin{});
   add(core::MsgLeave{});
@@ -524,8 +530,64 @@ std::vector<std::vector<std::uint8_t>> all_message_exemplars() {
                                 core::MembershipReportKind::kSuspect));
   add(core::MsgMembershipProbe(MssId(5)));
   add(core::MsgPrimaryFence(MssId(4), 6));
-  EXPECT_EQ(buffers.size(), 38u);  // every MessageTag represented
+  EXPECT_EQ(messages.size(), 38u);  // every MessageTag represented
+  return messages;
+}
+
+std::vector<std::vector<std::uint8_t>> all_message_exemplars() {
+  std::vector<std::vector<std::uint8_t>> buffers;
+  for (const net::PayloadPtr& message : all_messages()) {
+    buffers.push_back(core::encode(*message));
+  }
   return buffers;
+}
+
+// --- wire sizes ---------------------------------------------------------------
+
+// Every size comes from the message's field layout: the 4-byte frame
+// header plus exactly the bytes the codec encodes (tag and fields).
+TEST(WireSize, CoreMessagesAreFrameHeaderPlusEncoding) {
+  for (const net::PayloadPtr& message : all_messages()) {
+    EXPECT_EQ(message->wire_size(), 4 + core::encode(*message).size())
+        << message->name();
+  }
+}
+
+// The Mobile-IP and TIS vocabularies have no codec tags (nothing decodes
+// them) but are sized by the same rule: frame header, one tag byte, then
+// the fields — ids and u32s 4 B, a request id 8 B, a u64 or i64 8 B, an
+// i32 4 B, a string its u32 length and its bytes.
+TEST(WireSize, MobileIpMessagesFollowTheirFieldLayout) {
+  const RequestId req(MhId(3), 17);
+  const NodeAddress node(2);
+  EXPECT_EQ(baseline::MsgMipGreet(node).wire_size(), 4u + 1 + 4);
+  EXPECT_EQ(baseline::MsgMipRequest(req, node, node, "query").wire_size(),
+            4u + 1 + 8 + 4 + 4 + (4 + 5));
+  EXPECT_EQ(baseline::MsgMipUplinkAck(req, node).wire_size(), 4u + 1 + 8 + 4);
+  EXPECT_EQ(baseline::MsgMipRegistration(MhId(3), node).wire_size(),
+            4u + 1 + 4 + 4);
+  EXPECT_EQ(baseline::MsgMipRegReply(MhId(3)).wire_size(), 4u + 1 + 4);
+  EXPECT_EQ(baseline::MsgMipTunnel(MhId(3), req, "result", 2).wire_size(),
+            4u + 1 + 4 + 8 + (4 + 6) + 4);
+  EXPECT_EQ(baseline::MsgMipAckForward(MhId(3), req).wire_size(),
+            4u + 1 + 4 + 8);
+}
+
+TEST(WireSize, TisMessagesFollowTheirFieldLayout) {
+  const RequestId req(MhId(3), 17);
+  const NodeAddress node(2);
+  const ProxyId proxy(5);
+  EXPECT_EQ(tis::MsgTisGet(node, proxy, req, 7).wire_size(),
+            4u + 1 + 4 + 4 + 8 + 4);
+  EXPECT_EQ(tis::MsgTisSet(node, proxy, req, 7, -40).wire_size(),
+            4u + 1 + 4 + 4 + 8 + 4 + 4);
+  EXPECT_EQ(tis::MsgTisAreaPart(node, 99, 1, 8).wire_size(),
+            4u + 1 + 4 + 8 + 4 + 4);
+  EXPECT_EQ(tis::MsgTisAreaReply(99, -12345678901, 8).wire_size(),
+            4u + 1 + 8 + 8 + 4);
+  EXPECT_EQ(tis::MsgTisSub(node, proxy, req, 7, 30).wire_size(),
+            4u + 1 + 4 + 4 + 8 + 4 + 4);
+  EXPECT_EQ(tis::MsgTisUnsub(req).wire_size(), 4u + 1 + 8);
 }
 
 // Chop every encoded message at every byte boundary: each strict prefix

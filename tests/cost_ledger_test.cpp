@@ -188,39 +188,39 @@ TEST(CostLedger, ScriptedFig3ExportsArePinned) {
   EXPECT_EQ(summary.str(),
       "arm,class,wired_frames,wired_bytes,wireless_frames,wireless_bytes,"
       "wireless_share,energy\n"
-      "fig3,app,3,141,2,77,0.309237,114\n"
-      "fig3,control,1,32,7,132,0.53012,220\n"
-      "fig3,handoff,6,192,2,40,0.160643,80\n"
+      "fig3,app,3,112,2,61,0.442029,88\n"
+      "fig3,control,1,26,7,59,0.427536,96\n"
+      "fig3,handoff,6,120,2,18,0.130435,36\n"
       "fig3,recovery,0,0,0,0,0,0\n"
       "fig3,tunnel,0,0,0,0,0,0\n"
       "fig3,other,0,0,0,0,0,0\n"
-      "fig3,total,10,365,11,249,1,414\n");
-  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(0)), 334);
+      "fig3,total,10,258,11,138,1,220\n");
+  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(0)), 195);
   EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(1)), 0);
-  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(2)), 32);
-  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(5)), 16);
-  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(7)), 32);
+  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(2)), 10);
+  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(5)), 5);
+  EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(7)), 10);
   EXPECT_DOUBLE_EQ(ledger.energy_spent(MhId(8)), 0);
-  EXPECT_DOUBLE_EQ(ledger.energy_min_remaining(), 9666);
+  EXPECT_DOUBLE_EQ(ledger.energy_min_remaining(), 9805);
 
   std::ostringstream table;
   ledger.message_table().print(table);
   EXPECT_EQ(table.str(),
       "| link          | class   | message           | frames | bytes |\n"
       "|---------------|---------|-------------------|--------|-------|\n"
-      "| wired         | app     | resultForward     | 1      | 56    |\n"
-      "| wired         | app     | serverRequest     | 1      | 41    |\n"
-      "| wired         | app     | serverResult      | 1      | 44    |\n"
-      "| wired         | control | ackForward        | 1      | 32    |\n"
-      "| wired         | handoff | dereg             | 2      | 48    |\n"
-      "| wired         | handoff | deregAck          | 2      | 88    |\n"
-      "| wired         | handoff | update_currentLoc | 2      | 56    |\n"
-      "| wireless_up   | app     | request           | 1      | 37    |\n"
-      "| wireless_up   | control | ack               | 1      | 24    |\n"
-      "| wireless_up   | control | join              | 3      | 48    |\n"
-      "| wireless_up   | handoff | greet             | 2      | 40    |\n"
-      "| wireless_down | app     | result            | 1      | 40    |\n"
-      "| wireless_down | control | registrationAck   | 3      | 60    |\n");
+      "| wired         | app     | resultForward     | 1      | 47    |\n"
+      "| wired         | app     | serverRequest     | 1      | 31    |\n"
+      "| wired         | app     | serverResult      | 1      | 34    |\n"
+      "| wired         | control | ackForward        | 1      | 26    |\n"
+      "| wired         | handoff | dereg             | 2      | 26    |\n"
+      "| wired         | handoff | deregAck          | 2      | 60    |\n"
+      "| wired         | handoff | update_currentLoc | 2      | 34    |\n"
+      "| wireless_up   | app     | request           | 1      | 27    |\n"
+      "| wireless_up   | control | ack               | 1      | 17    |\n"
+      "| wireless_up   | control | join              | 3      | 15    |\n"
+      "| wireless_up   | handoff | greet             | 2      | 18    |\n"
+      "| wireless_down | app     | result            | 1      | 34    |\n"
+      "| wireless_down | control | registrationAck   | 3      | 27    |\n");
 
   std::ostringstream registry_json;
   world.telemetry().registry().write_json(registry_json);
@@ -228,14 +228,14 @@ TEST(CostLedger, ScriptedFig3ExportsArePinned) {
       "{\n"
       "  \"counters\": {\n"
       "    \"rdp.acks.forwarded\": 1,\n"
-      "    \"rdp.cost.bytes{class=app,link=wired}\": 141,\n"
-      "    \"rdp.cost.bytes{class=app,link=wireless_down}\": 40,\n"
-      "    \"rdp.cost.bytes{class=app,link=wireless_up}\": 37,\n"
-      "    \"rdp.cost.bytes{class=control,link=wired}\": 32,\n"
-      "    \"rdp.cost.bytes{class=control,link=wireless_down}\": 60,\n"
-      "    \"rdp.cost.bytes{class=control,link=wireless_up}\": 72,\n"
-      "    \"rdp.cost.bytes{class=handoff,link=wired}\": 192,\n"
-      "    \"rdp.cost.bytes{class=handoff,link=wireless_up}\": 40,\n"
+      "    \"rdp.cost.bytes{class=app,link=wired}\": 112,\n"
+      "    \"rdp.cost.bytes{class=app,link=wireless_down}\": 34,\n"
+      "    \"rdp.cost.bytes{class=app,link=wireless_up}\": 27,\n"
+      "    \"rdp.cost.bytes{class=control,link=wired}\": 26,\n"
+      "    \"rdp.cost.bytes{class=control,link=wireless_down}\": 27,\n"
+      "    \"rdp.cost.bytes{class=control,link=wireless_up}\": 32,\n"
+      "    \"rdp.cost.bytes{class=handoff,link=wired}\": 120,\n"
+      "    \"rdp.cost.bytes{class=handoff,link=wireless_up}\": 18,\n"
       "    \"rdp.cost.frames{class=app,link=wired}\": 3,\n"
       "    \"rdp.cost.frames{class=app,link=wireless_down}\": 1,\n"
       "    \"rdp.cost.frames{class=app,link=wireless_up}\": 1,\n"
@@ -258,13 +258,13 @@ TEST(CostLedger, ScriptedFig3ExportsArePinned) {
       "    \"rdp.update_currentloc\": 2\n"
       "  },\n"
       "  \"gauges\": {\n"
-      "    \"rdp.energy.remaining_min\": 9666,\n"
-      "    \"rdp.energy.spent_total\": 414\n"
+      "    \"rdp.energy.remaining_min\": 9805,\n"
+      "    \"rdp.energy.spent_total\": 220\n"
       "  },\n"
       "  \"histograms\": {\n"
       "    \"rdp.delivery.latency_ms\": {\"count\": 1, \"mean\": 2055, \"p50\": 2055, \"p95\": 2055, \"max\": 2055},\n"
       "    \"rdp.handoff.latency_ms\": {\"count\": 2, \"mean\": 10, \"p50\": 10, \"p95\": 10, \"max\": 10},\n"
-      "    \"rdp.handoff.state_bytes\": {\"count\": 2, \"mean\": 44, \"p50\": 44, \"p95\": 44, \"max\": 44}\n"
+      "    \"rdp.handoff.state_bytes\": {\"count\": 2, \"mean\": 30, \"p50\": 30, \"p95\": 30, \"max\": 30}\n"
       "  },\n"
       "  \"samples\": 165\n"
       "}\n");
@@ -276,8 +276,8 @@ TEST(CostLedger, ScriptedFig3ExportsArePinned) {
   for (const char c : csv.str()) {
     digest = (digest ^ static_cast<unsigned char>(c)) * 1099511628211ull;
   }
-  EXPECT_EQ(csv.str().size(), 7294u);
-  EXPECT_EQ(digest, 13810145272904385777ull);
+  EXPECT_EQ(csv.str().size(), 7283u);
+  EXPECT_EQ(digest, 18012693661325172555ull);
 }
 
 // A lost uplink request makes the Mh watchdog re-issue it; the repeat
@@ -408,7 +408,7 @@ TEST(CostLedger, ArqFramesClassifyAsControlAndRecovery) {
   const obs::CostLedger& ledger = *world.cost_ledger();
   const core::MsgUplinkRequest probe(common::RequestId(MhId(0), 1),
                                      world.server_address(0), "query", false);
-  const std::uint64_t framed_request = 16 + probe.wire_size();
+  const std::uint64_t framed_request = 4 + 1 + 12 + probe.wire_size();
   // Offered attempt-1 frame (dropped on the air, still offered bytes) is
   // app class; the RTO retransmission is exactly one recovery frame.
   EXPECT_EQ(ledger.bytes(LinkKind::kWirelessUp, PurposeClass::kApp),

@@ -181,12 +181,12 @@ handoffs 57
 update_currentloc 9
 acks_forwarded 212
 mean_handoff_ms 14.821719298245618
-mean_handoff_bytes 44
+mean_handoff_bytes 30
 proxies_created 186
 placement_jain 0.94866732477788751
 placement_max_to_mean 1.4838709677419355
 wired_messages 568
-wired_bytes 113571
+wired_bytes 107650
 delproxy_with_pending 0
 stale_acks 0
 requests_dropped_preproxy 1
@@ -197,10 +197,10 @@ analyzer_events 475
 analyzer_decode_errors 0
 kernel_events 3093
 wired_by_type 601e03ecc1bf6b8c
-cost_csv e48fb72f5925dee7
+cost_csv 26df41374b1c03d7
 counters 55c2334281737c7b
 trace e12ddb632e94ff84
-metrics 82d8225c9f7b0ebd
+metrics ea9de9051d56b978
 analyzer 7fc27d8ac94506a3
 )");
   // The scenario exercises what it names.
@@ -245,12 +245,12 @@ handoffs 67
 update_currentloc 6
 acks_forwarded 198
 mean_handoff_ms 14.740895522388058
-mean_handoff_bytes 44
+mean_handoff_bytes 30
 proxies_created 165
 placement_jain 0.84074485825458589
 placement_max_to_mean 1.8909090909090909
 wired_messages 552
-wired_bytes 115623
+wired_bytes 109805
 delproxy_with_pending 0
 stale_acks 0
 requests_dropped_preproxy 0
@@ -261,9 +261,9 @@ analyzer_events 442
 analyzer_decode_errors 0
 kernel_events 1903
 wired_by_type 4a0aec9b8188c9f4
-cost_csv b33a28a7b3ad8074
+cost_csv 41711a3ce091b5be
 counters 132685fe071accd7
-metrics cc55834eeafa6ada
+metrics 87bb5940dbe91ee7
 analyzer bcd552af622fdeec
 )");
   EXPECT_EQ(result.counters.at("membership.departures"), 1u);
@@ -298,7 +298,7 @@ proxies_created 0
 placement_jain 1
 placement_max_to_mean 1
 wired_messages 384
-wired_bytes 14784
+wired_bytes 10944
 delproxy_with_pending 0
 stale_acks 0
 requests_dropped_preproxy 0
@@ -309,7 +309,7 @@ analyzer_events 0
 analyzer_decode_errors 0
 kernel_events 1448
 wired_by_type 07ecac65092d51d7
-cost_csv 5404e9948988b67b
+cost_csv cb64b304875b6e50
 counters edc2a2f8b9bf05cb
 )");
   EXPECT_EQ(render(run_baseline_experiment(
@@ -338,7 +338,7 @@ proxies_created 0
 placement_jain 0.71342313051555972
 placement_max_to_mean 1.75
 wired_messages 630
-wired_bytes 21336
+wired_bytes 16098
 delproxy_with_pending 0
 stale_acks 0
 requests_dropped_preproxy 0
@@ -349,7 +349,7 @@ analyzer_events 0
 analyzer_decode_errors 0
 kernel_events 1694
 wired_by_type 34a1a9d19986ff15
-cost_csv 793f44b213633b26
+cost_csv 5ac51005623a3fd4
 counters c4bae515cbd80995
 )");
   EXPECT_EQ(render(run_baseline_experiment(
@@ -378,7 +378,7 @@ proxies_created 0
 placement_jain 0.70638423065607536
 placement_max_to_mean 1.806122448979592
 wired_messages 825
-wired_bytes 26040
+wired_bytes 19449
 delproxy_with_pending 0
 stale_acks 0
 requests_dropped_preproxy 0
@@ -389,7 +389,7 @@ analyzer_events 0
 analyzer_decode_errors 0
 kernel_events 2085
 wired_by_type a30afa46cde40da7
-cost_csv af2df55ffbdbc497
+cost_csv 3ac5951be4bc32c6
 counters 59fce79fb567c858
 )");
 }

@@ -78,7 +78,8 @@ TEST(MessageSurfaces, DescribeAndWireSize) {
   const core::MsgUplinkRequest request(RequestId(MhId(1), 2), NodeAddress(3),
                                        "body", true);
   EXPECT_NE(request.describe().find("stream"), std::string::npos);
-  EXPECT_EQ(request.wire_size(), 32u + 4u);  // header + body bytes
+  // Frame header, tag, request id, server, length-prefixed body, stream.
+  EXPECT_EQ(request.wire_size(), 4u + 1u + 8u + 4u + (4u + 4u) + 1u);
 
   const core::MsgResultForward fwd(MhId(1), NodeAddress(2), ProxyId(3),
                                    RequestId(MhId(1), 4), 5, true, true, "x",

@@ -105,7 +105,10 @@ struct TestMsg final : MessageBase {
   int value;
   explicit TestMsg(int v) : value(v) {}
   [[nodiscard]] const char* name() const override { return "test"; }
-  [[nodiscard]] std::size_t wire_size() const override { return 100; }
+  // 100 B on the wire.
+  [[nodiscard]] std::size_t encoded_size() const override {
+    return 100 - net::kFrameHeader;
+  }
 };
 
 struct Recorder final : Endpoint {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/server.h"
@@ -182,7 +183,8 @@ TEST_F(ServerUnitTest, CompletionAcksAreCounted) {
 
 TEST_F(ServerUnitTest, UnknownMessageCounted) {
   make_server(Server::Config{Duration::millis(10), Duration::zero()});
-  struct Odd final : net::MessageBase {
+  struct Odd final : net::Message<Odd> {
+    auto fields() const { return std::tie(); }
     const char* name() const override { return "odd"; }
   };
   wired_.send(NodeAddress(kProxyHost), NodeAddress(kServer),
