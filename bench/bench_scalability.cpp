@@ -12,8 +12,9 @@
 //
 // M2 — shard scaling: the same class of workload on the cell-partitioned
 // sharded kernel at 1/2/4/8 shards, reporting aggregate kernel events/s
-// and verifying the results are bit-identical across shard counts.  Two
-// extra flags beyond the shared set:
+// (each row the median of five runs, with their min and max) and verifying
+// the results are bit-identical across shard counts and runs.  Two extra
+// flags beyond the shared set:
 //
 //   --mega               also run the 10^6-mobile-host configuration
 //                        (32x32 grid, 8 shards) — minutes of wall clock
@@ -22,6 +23,7 @@
 //                        --profile also an "attribution" block with the
 //                        top-10 self-time domains for the 8-shard sweep
 //                        run ("scenario") and the --mega run ("mega")
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -131,7 +133,9 @@ struct ShardOutcome {
   int shards = 1;
   int threads = 1;
   harness::ExperimentResult result;
-  double wall_s = 0;
+  double wall_s = 0;  // a sweep row's median run; min and max beside it
+  double wall_min_s = 0;
+  double wall_max_s = 0;
   [[nodiscard]] double events_per_s() const {
     return wall_s > 0 ? static_cast<double>(result.kernel_events) / wall_s : 0;
   }
@@ -170,6 +174,50 @@ ShardOutcome run_sharded(harness::ExperimentParams params, int shards,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return outcome;
+}
+
+bool same_protocol_outcome(const harness::ExperimentResult& a,
+                           const harness::ExperimentResult& b) {
+  return a.requests_issued == b.requests_issued &&
+         a.requests_completed == b.requests_completed &&
+         a.kernel_events == b.kernel_events &&
+         a.wired_messages == b.wired_messages &&
+         a.wired_bytes == b.wired_bytes && a.handoffs == b.handoffs &&
+         a.mean_latency_ms == b.mean_latency_ms &&
+         a.invariant_violations == b.invariant_violations;
+}
+
+// A sweep row's wall time is the median of this many runs with the same
+// params: the 1-shard row lasts ≈ 0.12 s in --smoke, short enough that
+// host noise alone moves a single run by a fifth.
+constexpr int kRunsPerRow = 5;
+
+// Times one sweep row.  Only the first run is profiled when `profile` is
+// set (into `report` and `folded`), and its result is the row's.  Clears
+// `identical` if the runs' results differ.
+ShardOutcome run_row(const harness::ExperimentParams& params, int shards,
+                     bool profile, obs::ProfileReport* report,
+                     const std::string& folded, bool& identical) {
+  std::vector<ShardOutcome> runs;
+  std::vector<double> walls;
+  for (int run = 0; run < kRunsPerRow; ++run) {
+    const bool first = run == 0;
+    runs.push_back(run_sharded(params, shards, shards, profile && first,
+                               profile && first ? report : nullptr,
+                               profile && first ? folded : std::string()));
+    walls.push_back(runs.back().wall_s);
+  }
+  for (const ShardOutcome& run : runs) {
+    if (!same_protocol_outcome(run.result, runs.front().result)) {
+      identical = false;
+    }
+  }
+  std::sort(walls.begin(), walls.end());
+  ShardOutcome row = std::move(runs.front());
+  row.wall_s = walls[walls.size() / 2];
+  row.wall_min_s = walls.front();
+  row.wall_max_s = walls.back();
+  return row;
 }
 
 // The 10^6-mobile-host configuration the ROADMAP targets: 1024 cells, a
@@ -234,7 +282,9 @@ std::string shard_sweep_json(const std::vector<ShardOutcome>& outcomes,
     const ShardOutcome& o = outcomes[i];
     os << "      {\"shards\": " << o.shards << ", \"threads\": " << o.threads
        << ", \"kernel_events\": " << o.result.kernel_events
-       << ", \"wall_s\": " << o.wall_s
+       << ", \"runs\": " << kRunsPerRow << ", \"wall_s\": " << o.wall_s
+       << ", \"wall_s_min\": " << o.wall_min_s
+       << ", \"wall_s_max\": " << o.wall_max_s
        << ", \"events_per_s\": " << o.events_per_s() << "}"
        << (i + 1 < outcomes.size() ? "," : "") << "\n";
   }
@@ -256,17 +306,6 @@ std::string mega_json(const ShardOutcome& o,
      << "    \"requests_completed\": " << o.result.requests_completed << ",\n"
      << "    \"delivery_ratio\": " << o.result.delivery_ratio << "\n  }";
   return os.str();
-}
-
-bool same_protocol_outcome(const harness::ExperimentResult& a,
-                           const harness::ExperimentResult& b) {
-  return a.requests_issued == b.requests_issued &&
-         a.requests_completed == b.requests_completed &&
-         a.kernel_events == b.kernel_events &&
-         a.wired_messages == b.wired_messages &&
-         a.wired_bytes == b.wired_bytes && a.handoffs == b.handoffs &&
-         a.mean_latency_ms == b.mean_latency_ms &&
-         a.invariant_violations == b.invariant_violations;
 }
 
 }  // namespace
@@ -330,40 +369,43 @@ int main(int argc, char** argv) {
                " determinism and throughput numbers below hold regardless)\n";
 
   const harness::ExperimentParams sweep = sweep_params(options.smoke);
-  stats::Table shard_table({"shards", "threads", "kernel events", "wall (s)",
+  stats::Table shard_table({"shards", "threads", "kernel events",
+                            "wall min (s)", "wall median (s)", "wall max (s)",
                             "events/s", "requests", "delivery"});
-  // With --profile every sweep run is profiled (the bit-identity claim below
-  // then doubles as a live neutrality check); the 8-shard run — the one with
-  // real cross-shard traffic — supplies the "scenario" attribution.
+  // Each row is the median of kRunsPerRow runs.  With --profile only the
+  // first 8-shard run — the one with real cross-shard traffic — is
+  // profiled; it supplies the "scenario" attribution, and the bit-identity
+  // claim below then doubles as a live neutrality check.
   obs::ProfileReport scenario_report;
-  bool have_scenario_report = false;
+  const bool have_scenario_report = options.profile;
   std::vector<ShardOutcome> sharded;
+  bool identical = true;
   for (const int shards : {1, 2, 4, 8}) {
     const bool capture = options.profile && shards == 8;
-    sharded.push_back(run_sharded(
-        sweep, shards, shards, options.profile,
-        capture ? &scenario_report : nullptr,
-        capture ? options.profile_folded_path : std::string()));
-    have_scenario_report = have_scenario_report || capture;
+    sharded.push_back(run_row(sweep, shards, capture, &scenario_report,
+                              options.profile_folded_path, identical));
     const ShardOutcome& o = sharded.back();
     shard_table.add_row({stats::Table::fmt(std::uint64_t(o.shards)),
                          stats::Table::fmt(std::uint64_t(o.threads)),
                          stats::Table::fmt(o.result.kernel_events),
-                         stats::Table::fmt(o.wall_s, 2),
+                         stats::Table::fmt(o.wall_min_s, 3),
+                         stats::Table::fmt(o.wall_s, 3),
+                         stats::Table::fmt(o.wall_max_s, 3),
                          stats::Table::fmt(o.events_per_s(), 0),
                          stats::Table::fmt(o.result.requests_issued),
                          stats::Table::fmt(o.result.delivery_ratio, 4)});
   }
   shard_table.print(std::cout);
 
-  bool identical = true;
   for (const auto& o : sharded) {
     if (!same_protocol_outcome(o.result, sharded.front().result)) {
       identical = false;
     }
   }
-  benchutil::claim("results are bit-identical across 1/2/4/8 shards",
-                   identical);
+  benchutil::claim(
+      "results are bit-identical across 1/2/4/8 shards and across the " +
+          std::to_string(kRunsPerRow) + " runs of each row",
+      identical);
   benchutil::claim("no invariant violations at any shard count",
                    sharded.front().result.invariant_violations == 0);
   const double speedup_4 =

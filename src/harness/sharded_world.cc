@@ -190,7 +190,7 @@ ShardedWorld::ShardedWorld(ShardedScenarioConfig config)
            const ShardedScenarioConfig::ChurnEvent& b) { return a.at < b.at; });
     // Initial chains, same assignment World uses, so repairs have a ring to
     // repair and tests can compare the bookkeeping across shard counts.
-    recompute_chains();
+    replication::assign_chains(directory_, config_.backup_k);
     // Anchor events: a no-op in the owning shard's queue at every churn and
     // departure-due time, so run_to_quiescence cannot drain past a pending
     // transition and the barrier sequence is identical for any shard count.
@@ -279,23 +279,6 @@ void ShardedWorld::sync_mirrors() {
   }
 }
 
-void ShardedWorld::recompute_chains() {
-  // Same pure function the single-kernel MembershipService uses: every
-  // live primary gets the backup_k next live Mss's in id-ring order;
-  // non-live primaries keep their frozen chains.
-  const std::vector<common::MssId> all = directory_.mss_ids();
-  std::vector<common::MssId> live;
-  live.reserve(all.size());
-  for (common::MssId mss : all) {
-    if (directory_.mss_live(mss)) live.push_back(mss);
-  }
-  for (common::MssId mss : all) {
-    if (!directory_.mss_live(mss)) continue;
-    directory_.set_backups(
-        mss, replication::compute_chain(live, mss, config_.backup_k));
-  }
-}
-
 void ShardedWorld::apply_churn(common::SimTime now) {
   // Runs at every window barrier: single-threaded, after all shards have
   // reached `now`.  Transition times are taken from the plan (not the
@@ -316,7 +299,7 @@ void ShardedWorld::apply_churn(common::SimTime now) {
       if (directory_.mss_departed(id)) {
         directory_.set_mss_departed(id, false);
         directory_.bump_membership_epoch();
-        recompute_chains();
+        replication::assign_chains(directory_, config_.backup_k);
         // Counters land in the host's home shard so merged_counters() (a
         // commutative sum) pins churn activity shard-count-invariantly.
         shards_.at(static_cast<std::size_t>(
@@ -340,7 +323,7 @@ void ShardedWorld::apply_churn(common::SimTime now) {
     if (directory_.mss_up(id) || directory_.mss_departed(id)) continue;
     directory_.set_mss_departed(id, true);
     directory_.bump_membership_epoch();
-    recompute_chains();
+    replication::assign_chains(directory_, config_.backup_k);
     shards_.at(static_cast<std::size_t>(
                    cell_shard_[static_cast<std::size_t>(id.value())]))
         ->counters.increment("membership.departures");

@@ -185,7 +185,6 @@ class ShardedWorld {
   // Barrier-time membership churn: apply due crash/restart events, settle
   // due departures, repair the chain bookkeeping.  Single-threaded.
   void apply_churn(common::SimTime now);
-  void recompute_chains();
 
   ShardedScenarioConfig config_;
   sim::ShardedSimulator sim_;

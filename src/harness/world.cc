@@ -47,15 +47,12 @@ World::World(ScenarioConfig config)
 
   if (config_.replication.mode != replication::Mode::kOff &&
       config_.num_mss >= 2) {
-    // Initial backup chains: Mss i replicates to the k next Mss's in
-    // id-ring order (the MembershipService repairs these on departures).
-    // Register the assignments first (the Replicator constructor resolves
-    // its chain from the directory), then attach the hooks.
-    const std::vector<common::MssId> all = directory_.mss_ids();
-    for (common::MssId id : all) {
-      directory_.set_backups(
-          id, replication::compute_chain(all, id, config_.replication.k));
-    }
+    // Initial backup chains: every Mss is live, so Mss i replicates to the
+    // k next Mss's in id-ring order (the MembershipService repairs these on
+    // departures).  Register the assignments first (the Replicator
+    // constructor resolves its chain from the directory), then attach the
+    // hooks.
+    replication::assign_chains(directory_, config_.replication.k);
     for (int i = 0; i < config_.num_mss; ++i) {
       replicators_.push_back(std::make_unique<replication::Replicator>(
           *runtime_, *msses_[i], config_.replication));

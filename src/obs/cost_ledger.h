@@ -16,6 +16,9 @@
 // Byte counts come from MessageBase::wire_size() — the same figure the
 // transports themselves charge — so ledger totals reconcile byte-for-byte
 // with WiredNetwork::bytes_sent() and WirelessChannel::{up,down}link_bytes().
+// That size is encoded bytes: the 4-byte frame header plus the codec's
+// size-only walk over the message's field layout (net/message.h), the same
+// rule for the RDP, Mobile-IP and TIS vocabularies.
 //
 // A frame costs constant work and no allocation: each concrete message
 // type's classification rule and each message name's row are resolved on

@@ -28,6 +28,22 @@ std::vector<common::MssId> compute_chain(
   return chain;
 }
 
+void assign_chains(core::Directory& directory, int k) {
+  const std::vector<common::MssId> all = directory.mss_ids();
+  std::vector<common::MssId> live;
+  live.reserve(all.size());
+  for (common::MssId mss : all) {
+    if (directory.mss_live(mss)) live.push_back(mss);
+  }
+  for (common::MssId mss : all) {
+    // A non-live primary's chain is frozen: its surviving backups must
+    // agree on promotion order for the incarnation that just died, not for
+    // a membership it never served under.
+    if (!directory.mss_live(mss)) continue;
+    directory.set_backups(mss, compute_chain(live, mss, k));
+  }
+}
+
 MembershipService::MembershipService(core::Runtime& runtime,
                                      const ReplicationConfig& config,
                                      common::NodeAddress address)
@@ -36,23 +52,9 @@ MembershipService::MembershipService(core::Runtime& runtime,
   runtime_.directory.set_membership_service(address_);
 }
 
-void MembershipService::assign_chains() { recompute_chains(); }
-
 void MembershipService::recompute_chains() {
   RDP_PROF_SCOPE(kMembership);
-  const std::vector<common::MssId> all = runtime_.directory.mss_ids();
-  std::vector<common::MssId> live;
-  live.reserve(all.size());
-  for (common::MssId mss : all) {
-    if (runtime_.directory.mss_live(mss)) live.push_back(mss);
-  }
-  for (common::MssId mss : all) {
-    // A non-live primary's chain is frozen: its surviving backups must
-    // agree on promotion order for the incarnation that just died, not for
-    // a membership it never served under.
-    if (!runtime_.directory.mss_live(mss)) continue;
-    runtime_.directory.set_backups(mss, compute_chain(live, mss, config_.k));
-  }
+  assign_chains(runtime_.directory, config_.k);
 }
 
 // ---------------------------------------------------------------------------

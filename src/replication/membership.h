@@ -43,12 +43,15 @@
 namespace rdp::replication {
 
 // The backup chain for `primary`: the next k members of the sorted live set
-// in id-ring order, excluding the primary itself.  Pure function — the
-// harness, the membership service, and the sharded churn path all call it
-// so ring-repair decisions agree everywhere.
+// in id-ring order, excluding the primary itself.  Pure function.
 [[nodiscard]] std::vector<common::MssId> compute_chain(
     const std::vector<common::MssId>& live_sorted, common::MssId primary,
     int k);
+
+// Gives every live primary in `directory` its compute_chain() over the live
+// set.  The harness, the membership service and the sharded churn path all
+// call it, so ring-repair decisions agree everywhere.
+void assign_chains(core::Directory& directory, int k);
 
 class MembershipService final : public net::Endpoint,
                                 public core::RdpObserver {
@@ -62,10 +65,6 @@ class MembershipService final : public net::Endpoint,
   MembershipService& operator=(const MembershipService&) = delete;
 
   [[nodiscard]] common::NodeAddress address() const { return address_; }
-
-  // Assigns every live primary its chain from current membership (the
-  // harness calls this once at world construction).
-  void assign_chains();
 
   // --- core::RdpObserver ---
   [[nodiscard]] std::uint32_t hook_mask() const override {

@@ -279,14 +279,12 @@ void ShardedSimulator::drain_pending_posts() {
   }
 }
 
-std::size_t ShardedSimulator::run_until(SimTime until) {
-  RDP_CHECK(until >= now_, "cannot run into the past");
-  const std::int64_t end_us = until.count_micros();
+std::size_t ShardedSimulator::run_windows(std::optional<std::int64_t> end_us) {
   drain_pending_posts();
   std::size_t executed = 0;
   for (;;) {
     const auto next = min_next_event_us();
-    if (!next || *next > end_us) break;
+    if (!next || (end_us && *next > *end_us)) break;
     // Jump over any empty stretch (profiling reads fence_us_ as the window
     // start), then fence at the earliest instant a cross-shard send from
     // any pending cascade could arrive.  min(at + bound) > min(at) because
@@ -296,11 +294,19 @@ std::size_t ShardedSimulator::run_until(SimTime until) {
     if (*next > fence_us_) fence_us_ = *next;
     const auto constraint = min_next_constraint_us();
     RDP_CHECK(constraint.has_value(), "pending event without a constraint");
-    const std::int64_t window_end = std::min(*constraint, end_us + 1);
+    const std::int64_t window_end =
+        end_us ? std::min(*constraint, *end_us + 1) : *constraint;
     executed += run_window(SimTime::from_micros(window_end - 1));
     fence_us_ = window_end;
     barrier(fence_us_);
   }
+  return executed;
+}
+
+std::size_t ShardedSimulator::run_until(SimTime until) {
+  RDP_CHECK(until >= now_, "cannot run into the past");
+  const std::int64_t end_us = until.count_micros();
+  const std::size_t executed = run_windows(end_us);
   // Advance every clock to the bound (no events in between by now).
   for (auto& shard : shards_) shard->run_until(until);
   if (fence_us_ <= end_us) fence_us_ = end_us + 1;
@@ -309,19 +315,7 @@ std::size_t ShardedSimulator::run_until(SimTime until) {
 }
 
 std::size_t ShardedSimulator::run() {
-  drain_pending_posts();
-  std::size_t executed = 0;
-  for (;;) {
-    const auto next = min_next_event_us();
-    if (!next) break;
-    if (*next > fence_us_) fence_us_ = *next;
-    const auto constraint = min_next_constraint_us();
-    RDP_CHECK(constraint.has_value(), "pending event without a constraint");
-    const std::int64_t window_end = *constraint;
-    executed += run_window(SimTime::from_micros(window_end - 1));
-    fence_us_ = window_end;
-    barrier(fence_us_);
-  }
+  const std::size_t executed = run_windows(std::nullopt);
   SimTime latest = now_;
   for (const auto& shard : shards_) latest = std::max(latest, shard->now());
   now_ = latest;

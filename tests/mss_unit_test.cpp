@@ -1,8 +1,12 @@
 // Mss-level behaviour probed through state inspection and crafted message
 // injection: the RKpR flag life-cycle, the rkpr_tracks_request hardening
-// (deterministic duplicate-Ack regression), tombstones after hand-off, and
-// defensive handling of unknown/stale messages.
+// (deterministic duplicate-Ack regression), the Ack-priority rule,
+// tombstones after hand-off, and defensive handling of unknown/stale
+// messages.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "harness/metrics.h"
 #include "harness/world.h"
@@ -150,6 +154,79 @@ TEST_F(MssUnitTest, TombstoneAfterHandoffAndStaleAckDrop) {
   });
   world_->run_for(Duration::seconds(2));
   EXPECT_EQ(world_->counters().get("mss.stale_ack_dropped"), 1u);
+}
+
+// §3.1's priority rule, isolated: the Mh's uplink Ack and a dereg for the
+// same Mh fall due at the old Mss at the same instant, and the dereg was
+// scheduled first.  With zero jitter and the wired latency (30 ms) above
+// the wireless one (10 ms): the dereg is sent at t = 1 s, a crafted result
+// goes over the radio at 1.010 s, the Mh's Ack leaves at 1.020 s, and both
+// are due at Mss0 at 1.030 s.  Returns what Mss0 handled, in order: "ack"
+// (relayed to the proxy), "dereg" (the deregAck it sent) or "stale-ack".
+std::vector<std::string> ack_and_dereg_order(bool ack_priority) {
+  auto config = testutil::deterministic_config(2, 1, 0);
+  config.causal_order = false;
+  config.wired.base_latency = Duration::millis(30);
+  config.wireless.base_latency = Duration::millis(10);
+  config.rdp.ack_priority = ack_priority;
+  harness::World world(config);
+
+  struct Recorder final : core::RdpObserver {
+    std::vector<std::string>* order;
+    common::SimTime* at;
+    [[nodiscard]] std::uint32_t hook_mask() const override {
+      return core::hook_bit(core::Hook::kAckForwarded) |
+             core::hook_bit(core::Hook::kStaleAckDropped);
+    }
+    void on_event(const core::Event& e) override {
+      order->push_back(e.kind == core::Hook::kAckForwarded ? "ack"
+                                                           : "stale-ack");
+      *at = e.at;
+    }
+  };
+  std::vector<std::string> order;
+  common::SimTime ack_at;
+  Recorder recorder;
+  recorder.order = &order;
+  recorder.at = &ack_at;
+  world.observers().add(&recorder);
+  common::SimTime dereg_at;
+  world.wired().add_send_observer([&](const net::Envelope& envelope) {
+    if (std::string(envelope.payload->name()) == "deregAck") {
+      order.push_back("dereg");
+      dereg_at = envelope.sent_at;
+    }
+  });
+
+  // A pending request with a proxy at Mss0; its real result is far off.
+  const auto slow =
+      testutil::add_server_with_service_time(world, Duration::seconds(30));
+  auto& mh = world.mh(0);
+  mh.power_on(world.cell(0));
+  auto& sim = world.simulator();
+  sim.schedule(Duration::millis(100), [&] { mh.issue_request(slow, "q"); });
+  sim.schedule(Duration::seconds(1), [&] {
+    world.transport().send(
+        world.mss(1).address(), world.mss(0).address(),
+        net::make_message<core::MsgDereg>(MhId(0), MssId(1)));
+  });
+  sim.schedule(Duration::millis(1010), [&] {
+    world.wireless().downlink(
+        world.cell(0), MhId(0),
+        net::make_message<core::MsgDownlinkResult>(
+            core::RequestId(MhId(0), 1), 1, /*final=*/false, "partial", 1));
+  });
+  world.run_for(Duration::millis(1100));
+  EXPECT_EQ(ack_at, common::SimTime::from_micros(1'030'000));
+  EXPECT_EQ(dereg_at, ack_at);
+  return order;
+}
+
+TEST(MssAckPriority, AckBeforeSameInstantDeregOnlyWithTheFlag) {
+  EXPECT_EQ(ack_and_dereg_order(true),
+            (std::vector<std::string>{"ack", "dereg"}));
+  EXPECT_EQ(ack_and_dereg_order(false),
+            (std::vector<std::string>{"dereg", "stale-ack"}));
 }
 
 TEST_F(MssUnitTest, DeregForUnknownMhAnswersNullPref) {
