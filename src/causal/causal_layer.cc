@@ -46,20 +46,34 @@ void CausalLayer::grow(NodeState& node) const {
   node.recency.resize(link_cell_.size());
 }
 
+void CausalLayer::fit(NodeState& node) const {
+  if (node.peers.size() < nodes_.size()) node.peers.resize(nodes_.size());
+  if (node.deliv.size() < nodes_.size()) node.deliv.resize(nodes_.size(), 0);
+}
+
 void CausalLayer::raise(NodeState& node, std::uint32_t link,
                         std::uint64_t count) {
   node.sent[link] = count;
   Recency& cell = node.recency[link];
   cell.stamp = ++node.clock;
   if (node.newest == link) return;
-  // Move to the front of the recency list (a cell seen for the first time
-  // has no neighbours to unlink).
-  if (cell.prev != kNone) node.recency[cell.prev].next = cell.next;
-  if (cell.next != kNone) node.recency[cell.next].prev = cell.prev;
-  cell.prev = kNone;
+  // Move to the front of the recency list.
+  unlink(node, link);
   cell.next = node.newest;
   if (node.newest != kNone) node.recency[node.newest].prev = link;
   node.newest = link;
+}
+
+void CausalLayer::unlink(NodeState& node, std::uint32_t link) {
+  Recency& cell = node.recency[link];
+  if (cell.prev != kNone) {
+    node.recency[cell.prev].next = cell.next;
+  } else if (node.newest == link) {
+    node.newest = cell.next;
+  }
+  if (cell.next != kNone) node.recency[cell.next].prev = cell.prev;
+  cell.prev = kNone;
+  cell.next = kNone;
 }
 
 CausalLayer::CausalLayer(net::WiredTransport& inner,
@@ -120,17 +134,21 @@ void CausalLayer::send(NodeAddress src, NodeAddress dst,
   const std::size_t di = index_of(dst);
 
   NodeState& sender = nodes_[si];
-  if (di >= sender.sent_upto.size()) sender.sent_upto.resize(nodes_.size(), 0);
+  fit(sender);
 
-  // Piggyback the cells that rose since the last send to dst, before
-  // counting this send, with the cells in dst's column moved to the front.
-  // The recency list holds each nonzero cell once, so it bounds the count.
-  if (scratch_.size() < sender.sent.size()) scratch_.resize(sender.sent.size());
+  // Piggyback the cells that rose since the last send to dst and that the
+  // pruning rules (header comment) keep, before counting this send, with
+  // the cells in dst's column moved to the front.  The recency list holds
+  // each cell once, so it bounds the count; rule (d) adds one entry.
+  if (scratch_.size() <= sender.sent.size()) {
+    scratch_.resize(sender.sent.size() + 1);
+  }
   Entry* out = scratch_.data();
-  const Recency* recency = sender.recency.data();
+  Recency* recency = sender.recency.data();
   const std::uint64_t* sent = sender.sent.data();
   const std::uint32_t* cell_of = link_cell_.data();
-  const std::uint64_t since = sender.sent_upto[di];
+  const Peer* peers = sender.peers.data();
+  const std::uint64_t since = peers[di].sent_upto;
   // Each hop of the walk is a dependent load at a scattered position.
   // When the rises since the last send could touch a good share of the
   // node's cache lines, fetch all of them at once instead (the cost stays
@@ -144,14 +162,32 @@ void CausalLayer::send(NodeAddress src, NodeAddress dst,
   }
   std::size_t entries = 0;
   std::size_t column = 0;
-  for (std::uint32_t link = sender.newest;
-       link != kNone && recency[link].stamp > since;
-       link = recency[link].next) {
-    out[entries] = Entry{cell_of[link], sent[link]};
-    if ((cell_of[link] & 0xffff) == di) std::swap(out[column++], out[entries]);
-    ++entries;
+  // Rule (c) needs no l != d test: the walk only reaches cells that rose
+  // since the last send to dst.
+  std::uint32_t link = sender.newest;
+  while (link != kNone && recency[link].stamp > since) {
+    const std::uint32_t next = recency[link].next;
+    const std::uint32_t cell = cell_of[link];
+    const std::size_t k = cell >> 16;
+    const std::size_t l = cell & 0xffff;
+    if (k == si ? sent[link] <= peers[l].acked                  // (d)
+                : recency[link].stamp <= peers[l].sent_upto) {  // (c)
+      unlink(sender, link);
+    } else if (l == di) {
+      out[entries] = Entry{cell, sent[link]};
+      std::swap(out[column++], out[entries++]);
+    } else if (k != di) {  // (b)
+      out[entries++] = Entry{cell, sent[link]};
+    }
+    link = next;
   }
-  sender.sent_upto[di] = sender.clock;
+  Peer& peer = sender.peers[di];
+  if (di != si && sender.deliv[di] > peer.reported) {  // (d)
+    peer.reported = sender.deliv[di];
+    out[entries++] = Entry{static_cast<std::uint32_t>(di << 16 | si),
+                           peer.reported};
+  }
+  peer.sent_upto = sender.clock;
   net::PayloadPtr wrapped = net::make_message<CausalPayload>(
       std::move(payload), Entries(out, out + entries), column, si, di);
 
@@ -164,7 +200,8 @@ void CausalLayer::send(NodeAddress src, NodeAddress dst,
 bool CausalLayer::deliverable(const NodeState& node,
                               const CausalPayload& payload) {
   // Only the cells in the receiver's column gate delivery; the cells left
-  // out were satisfied by the link's previous message (header comment).
+  // out passed with the link's previous message, are settled, or are
+  // implied by cells carried (header comment).
   for (std::size_t e = 0; e < payload.column; ++e) {
     const Entry& entry = payload.entries[e];
     if (node.deliv[entry.cell >> 16] < entry.count) return false;
@@ -179,22 +216,23 @@ void CausalLayer::deliver(Shim& shim, NodeState& node,
 
   const std::size_t i = wrapped->src_index;
   const std::size_t j = wrapped->dst_index;
-  // ST[i][j], carried by every message on the link after its first.
-  std::uint64_t at_send = 0;
-  for (std::size_t e = 0; e < wrapped->column; ++e) {
-    const Entry& entry = wrapped->entries[e];
-    if (entry.cell >> 16 == i) at_send = entry.count;
-  }
   // Max-merge in two passes: find the entries that raise a cell (most do
-  // not), then stamp those.  Each cell appears once in a message.
+  // not), then stamp those.  Each cell appears once in a message.  The
+  // gate entries, in j's own column, are not kept (rule (a)), and the one
+  // entry in j's own row is i's DELIV count for j (rule (d)).
   const Entries& entries = wrapped->entries;
   if (rising_.size() < entries.size()) rising_.resize(entries.size());
   const std::uint32_t* link_of = link_of_.data();
   const std::size_t width = links_width_;
   std::size_t rising = 0;
-  for (const Entry& entry : entries) {
+  for (std::size_t e = wrapped->column; e < entries.size(); ++e) {
+    const Entry& entry = entries[e];
     const std::size_t k = entry.cell >> 16;
     const std::size_t l = entry.cell & 0xffff;
+    if (k == j) {
+      node.peers[i].acked = std::max(node.peers[i].acked, entry.count);
+      continue;
+    }
     std::uint32_t link = link_of[k * width + l];
     if (link == kNone || link >= node.sent.size()) {
       // First sighting at this node (or, sharded, in this layer).
@@ -207,15 +245,6 @@ void CausalLayer::deliver(Shim& shim, NodeState& node,
   for (std::size_t r = 0; r < rising; ++r) {
     raise(node, rising_[r].link, rising_[r].count);
   }
-  // SENT_j[i][j] must account for this message, which ST (taken before the
-  // sender counted the send) does not include.  Raise it to ST[i][j]+1
-  // rather than incrementing: a self-addressed message is delivered on the
-  // sender's own state, which already counted this send at send() time —
-  // incrementing again would inflate SENT[i][i] past DELIV[i] and wedge
-  // every later self-send in the buffer.
-  const std::uint32_t own = link_id(i, j);
-  if (own >= node.sent.size()) grow(node);
-  if (at_send + 1 > node.sent[own]) raise(node, own, at_send + 1);
   node.deliv[i] += 1;
 
   net::Envelope unwrapped = envelope;
@@ -246,9 +275,7 @@ void CausalLayer::on_wire_message(Shim& shim, const net::Envelope& envelope) {
   const auto* wrapped = net::message_cast<CausalPayload>(envelope.payload);
   RDP_CHECK(wrapped != nullptr, "causal layer saw a non-causal payload");
 
-  const std::size_t n = nodes_.size();
-  if (node.deliv.size() < n) node.deliv.resize(n, 0);
-
+  fit(node);
   if (!deliverable(node, *wrapped)) {
     node.buffer.push_back(envelope);
     ++delayed_total_;

@@ -25,27 +25,60 @@
 // rises, keeps its cells in a list ordered by stamp (newest first), and
 // remembers per destination the clock at its last send there; collecting
 // a message's entries walks exactly the changed cells.  The receiver checks
-// the entries in its own column against DELIV and max-merges every entry.
+// the entries in its own column against DELIV and max-merges the rest.
 //
-// Why the delivery decisions are exactly whole-matrix RST's:
-//   * a cell a message leaves out holds the value it had in the previous
-//     message on the same link i -> j;
+// Pruning.  Most of SENT can no longer hold any message back, so the layer
+// keeps and sends only what can, in the spirit of Kshemkalyani & Singhal's
+// necessary-and-sufficient information for causal ordering (1998).  Below,
+// i sends to d and (k, l) is a cell on i's recency walk:
+//   (a) A node j keeps no column of its own (k, j != k): SENT_j[k][j] =
+//       DELIV_j[k], so j neither merges the gate entries of a message it
+//       delivers nor counts the message in SENT_j[i][j], and never sends
+//       those cells.  The exception is the self-send cell (j, j): a
+//       self-send in flight is counted in SENT_j[j][j] and not yet in
+//       DELIV_j[j].
+//   (b) A message to d skips d's own row (d, l != d): d counts its own
+//       sends exactly.
+//   (c) A cell (k, l) with k != i and l != d is skipped, and unlinked from
+//       the recency list until it next rises, once i has sent to l since
+//       the cell last rose.  That message carried the cell to l and is
+//       deliverable there only once DELIV_l[k] reaches it, so i's own
+//       count SENT_i[i][l], which counts that message, implies the cell.
+//   (d) A message i -> d carries DELIV_i[d] as the entry (d, i) whenever
+//       that count rose since i's previous message to d.  By (b) no other
+//       entry in a message to d names that cell.  d keeps the count as
+//       acked[i], and skips and unlinks its own row's cell (d, i) while
+//       SENT_d[d][i] <= acked[i]: i has delivered everything d sent it.
+//
+// Why the delivery decisions are exactly whole-matrix RST's.  Call a value
+// v of cell (k, l) settled once DELIV_l[k] >= v: it holds nothing back at
+// l, now or later, as DELIV only grows.  Each value the rules drop is
+// settled ((a), (d)), outside the gating column and already known exactly
+// to the receiver ((b)), or implied by a value the sender keeps and sends
+// on ((c): a gate on SENT_i[i][l] holds a message until l has delivered
+// i's message that carried (k, l)).  So a message the whole matrix would
+// hold back is held back on the same cell or on one that implies it, and
+// a message it would deliver passes, because no value carried exceeds the
+// whole matrix's.  The differential form keeps this:
+//   * a cell a message leaves out was carried, pruned or settled by the
+//     time of the previous message on the same link i -> j;
 //   * every message on a link after the first carries the link's own cell
 //     ST[i][j], which rose when the previous message was sent, so a message
 //     is deliverable only after its predecessor on the link: each link
-//     delivers in send order even when the wire reorders;
-//   * that predecessor's full ST passed the DELIV check (DELIV only grows)
-//     and was merged into SENT_j, so the cells left out pass the check and
-//     change nothing in the merge.  The first message on a link carries
-//     every nonzero cell, which is the whole matrix.
+//     delivers in send order even when the wire reorders.  (d) drops that
+//     cell only once every earlier message on the link is delivered;
+//   * that predecessor passed the DELIV check (DELIV only grows), so the
+//     cells left out pass it too and change nothing in the merge.  The
+//     first message on a link carries every cell still in the list.
 //
 // Assumptions: the transport below delivers every message exactly once.
 // Whole-matrix RST needs that too (a lost message leaves a gap that wedges
-// its link), and the differential form leans on it once more: a duplicate
-// would pass for its link's next message, so the cells a later message
-// leaves out might never have been checked.  Only wire duplication can
-// tell the two forms apart.  Fault plans that degrade the wire therefore
-// run with causal order off; partitions sever above the layer
+// its link), and the pruned differential form leans on it once more: a
+// duplicate would pass for its link's next message, so the cells a later
+// message leaves out might never have been checked, and (c) and (d) would
+// take a duplicate's delivery for its successor's.  Only wire duplication
+// can tell the two forms apart.  Fault plans that degrade the wire
+// therefore run with causal order off; partitions sever above the layer
 // (set_sever_hook) and leave no gap.
 //
 // Wire size: the inner message, a 4-byte entry count, and per entry a
@@ -119,15 +152,14 @@ class CausalLayer final : public net::WiredTransport {
     std::uint32_t cell;
     std::uint64_t count;
   };
-  // Pooled only up to the pool's largest size class, 512 B (32 entries); a
-  // longer piggyback falls through to operator new.  Those buffers are
-  // nearly all of the layer's allocations: at seed 101, 206,509 of 242,502
-  // sends on campus_causal and 134,284 of 303,800 on lossy_arq exceed it.
+  // Pooled up to the pool's largest size class, 4 KiB (256 entries); only a
+  // longer piggyback falls through to operator new.
   using Entries = std::vector<Entry, common::PoolAllocator<Entry>>;
 
   struct CausalPayload final : net::MessageBase {
     net::PayloadPtr inner;
-    Entries entries;      // the cells in dst's column come first
+    Entries entries;      // the cells in dst's column come first; the
+                          // rule (d) count, if any, is in dst's row
     std::size_t column;   // how many entries are in dst's column
     std::size_t src_index;
     std::size_t dst_index;
@@ -163,24 +195,33 @@ class CausalLayer final : public net::WiredTransport {
 
   // Where a node's SENT cell sits in its recency list: `stamp` is the
   // node's change clock when the count last rose (0 while it is 0);
-  // prev/next chain the node's nonzero cells newest stamp first.
+  // prev/next chain the node's cells that a message may still carry,
+  // newest stamp first.  Rules (c) and (d) unlink a cell until it rises.
   struct Recency {
     std::uint64_t stamp = 0;
     std::uint32_t prev = kNone;
     std::uint32_t next = kNone;
   };
 
+  // What a node remembers of one other node.
+  struct Peer {
+    std::uint64_t sent_upto = 0;  // clock at the last send to it
+    std::uint64_t acked = 0;      // its DELIV count for this node, rule (d)
+    std::uint64_t reported = 0;   // DELIV count for it, as last sent to it
+  };
+
   struct NodeState {
     std::unique_ptr<Shim> shim;
-    // SENT, indexed by link id.  The counts are apart from the list so the
-    // merge, which mostly finds nothing new, compares a dense array.
+    // SENT, indexed by link id; never the node's own column (rule (a)).
+    // The counts are apart from the list so the merge, which mostly finds
+    // nothing new, compares a dense array.
     std::vector<std::uint64_t> sent;
     std::vector<Recency> recency;
-    std::uint32_t newest = kNone;          // link id of the newest stamp
-    std::uint64_t clock = 0;               // last stamp handed out
-    std::vector<std::uint64_t> sent_upto;  // clock at the last send, per dst
-    std::vector<std::uint64_t> deliv;      // DELIV vector
-    std::deque<net::Envelope> buffer;      // undeliverable messages
+    std::uint32_t newest = kNone;      // link id of the newest stamp
+    std::uint64_t clock = 0;           // last stamp handed out
+    std::vector<Peer> peers;           // per node index
+    std::vector<std::uint64_t> deliv;  // DELIV vector
+    std::deque<net::Envelope> buffer;  // undeliverable messages
   };
 
   std::size_t index_of(NodeAddress address);
@@ -190,9 +231,13 @@ class CausalLayer final : public net::WiredTransport {
   void widen_links(std::size_t n);
   // Sizes `node`'s per-link arrays for every link id handed out so far.
   void grow(NodeState& node) const;
+  // Sizes `node`'s per-node arrays for every node attached so far.
+  void fit(NodeState& node) const;
   // Raises `node`'s SENT cell `link` (sized, below `count`) to `count` and
   // stamps it newest.
   static void raise(NodeState& node, std::uint32_t link, std::uint64_t count);
+  // Takes `link` out of `node`'s recency list (no-op if it is not in it).
+  static void unlink(NodeState& node, std::uint32_t link);
   void on_wire_message(Shim& shim, const net::Envelope& envelope);
   static bool deliverable(const NodeState& node, const CausalPayload& payload);
   void deliver(Shim& shim, NodeState& node, const net::Envelope& envelope);

@@ -43,9 +43,10 @@ namespace rdp::common::pool {
 // Every class size is a multiple of 16, so any block is 16-aligned as long
 // as slabs are (operator new guarantees max_align_t).  Requests above the
 // largest class — or needing stronger alignment — fall through to plain
-// operator new.
-inline constexpr std::size_t kClassSizes[] = {32,  48,  64,  96, 128,
-                                              192, 256, 384, 512};
+// operator new.  The classes above 512 B serve the causal layer's
+// piggyback buffers (causal/causal_layer.h).
+inline constexpr std::size_t kClassSizes[] = {
+    32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096};
 inline constexpr int kClassCount =
     static_cast<int>(sizeof(kClassSizes) / sizeof(kClassSizes[0]));
 inline constexpr std::size_t kMaxPooled = kClassSizes[kClassCount - 1];

@@ -249,8 +249,8 @@ TEST_F(CausalTest, WireSizeIncludesMatrixOverhead) {
 
 // Only the cells that changed since the last send on a link ride on the
 // next one: after other traffic the first A->B message carries every cell
-// A knows of, and a second one right behind it carries exactly one entry,
-// the link's own count SENT[A][B].
+// A keeps, and a second one right behind it carries exactly one entry, the
+// link's own count SENT[A][B].
 TEST_F(CausalTest, SecondBackToBackSendCarriesOneEntry) {
   build(Duration::millis(1), Duration::zero());
   std::vector<std::size_t> sizes;
@@ -263,13 +263,13 @@ TEST_F(CausalTest, SecondBackToBackSendCarriesOneEntry) {
   };
   send(0, 2);  // A->C: SENT_A[A][C] = 1
   send(2, 0);  // C->A: SENT_C[C][A] = 1
-  sim_.run();  // A merges C's message: SENT_A[C][A] = 1
+  sim_.run();  // A delivers C's message; [C][A] is A's own column
   send(0, 1);
   send(0, 1);
   sim_.run();
   const std::size_t inner = TestMsg("").wire_size();
   ASSERT_EQ(sizes.size(), 4u);
-  EXPECT_EQ(sizes[2], inner + 4 + 12 * 2);  // [A][C] and [C][A]
+  EXPECT_EQ(sizes[2], inner + 4 + 12 * 1);  // [A][C] only
   EXPECT_EQ(sizes[3], inner + 4 + 12 * 1);  // [A][B] only
   EXPECT_EQ(b_.tags.size(), 2u);
 }
@@ -342,8 +342,9 @@ TEST(WireSize, CausalEnvelopeAddsCountAndEntries) {
              net::make_message<core::MsgDereg>(dereg),
              sim::EventPriority::kNormal);
   // Entries: none on a fresh layer; then the link's own count [A][B]; none
-  // on B's first send (B knows no nonzero cell); once A has B's message,
-  // [A][B] and [B][A].
+  // on B's first send (B keeps no nonzero cell and has delivered nothing);
+  // once A has B's message, [A][B] and, as [B][A], the one message A has
+  // delivered from B (rule (d)).
   ASSERT_EQ(transport.sent.size(), 4u);
   const std::size_t inner = dereg.wire_size();
   EXPECT_EQ(inner, 4u + 1 + 4 + 4);
@@ -355,9 +356,9 @@ TEST(WireSize, CausalEnvelopeAddsCountAndEntries) {
 
 // Lazy-attach mode widens the layer when a node attaches after traffic
 // has flowed.  Each message carries the SENT cells that changed since the
-// previous send on its link (a link's first message carries every nonzero
-// cell), and a message stamped before the attach is still held back until
-// its causal predecessors arrive.
+// previous send on its link (a link's first message carries every cell the
+// sender keeps), and a message stamped before the attach is still held
+// back until its causal predecessors arrive.
 TEST_F(CausalTest, NodeAttachingAfterTrafficKeepsCausalOrder) {
   ManualTransport transport;
   CausalLayer layer(transport);
@@ -495,74 +496,213 @@ class RstReference {
 // sends, and the last node attaching a third of the way in.  Every node
 // must deliver the same messages in the same order, and the two must agree
 // on how many messages waited and how many are waiting, step by step.
+// With `hubs`, nodes 0 and 1 are hubs that most traffic runs to or from,
+// the way a campus's Msses talk to its servers; that is where pruning
+// rules (c) and (d) fire most.
+void check_against_rst(std::size_t n, std::uint64_t seed, bool hubs) {
+  Rng rng(seed * 1000 + n + (hubs ? 500 : 0));
+  ManualTransport transport;
+  CausalLayer layer(transport);
+  bool sever = false;
+  layer.set_sever_hook([&](NodeAddress, NodeAddress) { return sever; });
+  RstReference reference(n);
+  std::vector<Recorder> recorders(n);
+  const auto attach = [&](std::size_t i) {
+    layer.attach(NodeAddress(static_cast<std::uint32_t>(i)), &recorders[i]);
+    reference.attach();
+  };
+  const auto pick = [&](std::size_t from, std::size_t to) {
+    return static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(from), static_cast<std::int64_t>(to) - 1));
+  };
+  std::size_t attached = 0;
+  while (attached + 1 < n) attach(attached++);
+
+  std::vector<std::size_t> in_flight;
+  const int steps = 60 * static_cast<int>(n);
+  for (int step = 0; step < steps; ++step) {
+    if (step == steps / 3) attach(attached++);
+    const double roll = rng.next_double();
+    if (roll < 0.45 || in_flight.empty()) {
+      const std::size_t src = pick(0, attached);
+      std::size_t dst = pick(0, attached);
+      if (hubs && rng.bernoulli(0.8)) dst = src < 2 ? pick(2, attached) : dst % 2;
+      sever = roll < 0.05;
+      const std::string tag = "m" + std::to_string(step);
+      layer.send(NodeAddress(static_cast<std::uint32_t>(src)),
+                 NodeAddress(static_cast<std::uint32_t>(dst)),
+                 net::make_message<TestMsg>(tag), sim::EventPriority::kNormal);
+      if (!sever) {
+        reference.send(src, dst, tag);
+        in_flight.push_back(transport.sent.size() - 1);
+      }
+    } else {
+      const std::size_t which = pick(0, in_flight.size());
+      const std::size_t w = in_flight[which];
+      in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(which));
+      transport.deliver(w);
+      reference.arrive(w);
+    }
+    ASSERT_EQ(layer.buffered(), reference.buffered()) << "step " << step;
+    ASSERT_EQ(layer.delayed_total(), reference.delayed_total())
+        << "step " << step;
+  }
+  while (!in_flight.empty()) {
+    const std::size_t w = in_flight.back();
+    in_flight.pop_back();
+    transport.deliver(w);
+    reference.arrive(w);
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(recorders[i].tags, reference.delivered(i)) << "node " << i;
+  }
+  EXPECT_EQ(layer.delayed_total(), reference.delayed_total());
+  EXPECT_GT(layer.delayed_total(), 0u);  // the buffering path ran
+  EXPECT_GT(layer.severed(), 0u);
+  EXPECT_EQ(layer.buffered(), 0u);
+  EXPECT_EQ(reference.buffered(), 0u);
+}
+
 TEST(CausalOracle, DifferentialPiggybackMatchesWholeMatrixRst) {
-  for (const std::size_t n : {3, 8, 16}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const std::size_t n : {3, 8, 16}) {
       SCOPED_TRACE("n " + std::to_string(n) + " seed " + std::to_string(seed));
-      Rng rng(seed * 1000 + n);
-      ManualTransport transport;
-      CausalLayer layer(transport);
-      bool sever = false;
-      layer.set_sever_hook([&](NodeAddress, NodeAddress) { return sever; });
-      RstReference reference(n);
-      std::vector<Recorder> recorders(n);
-      const auto attach = [&](std::size_t i) {
-        layer.attach(NodeAddress(static_cast<std::uint32_t>(i)), &recorders[i]);
-        reference.attach();
-      };
-      std::size_t attached = 0;
-      while (attached + 1 < n) attach(attached++);
-
-      std::vector<std::size_t> in_flight;
-      const int steps = 60 * static_cast<int>(n);
-      for (int step = 0; step < steps; ++step) {
-        if (step == steps / 3) attach(attached++);
-        const double roll = rng.next_double();
-        if (roll < 0.45 || in_flight.empty()) {
-          const auto src = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(attached) - 1));
-          const auto dst = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<std::int64_t>(attached) - 1));
-          sever = roll < 0.05;
-          const std::string tag = "m" + std::to_string(step);
-          layer.send(NodeAddress(static_cast<std::uint32_t>(src)),
-                     NodeAddress(static_cast<std::uint32_t>(dst)),
-                     net::make_message<TestMsg>(tag),
-                     sim::EventPriority::kNormal);
-          if (!sever) {
-            reference.send(src, dst, tag);
-            in_flight.push_back(transport.sent.size() - 1);
-          }
-        } else {
-          const auto pick = static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(in_flight.size()) - 1));
-          const std::size_t w = in_flight[pick];
-          in_flight.erase(in_flight.begin() +
-                          static_cast<std::ptrdiff_t>(pick));
-          transport.deliver(w);
-          reference.arrive(w);
-        }
-        ASSERT_EQ(layer.buffered(), reference.buffered()) << "step " << step;
-        ASSERT_EQ(layer.delayed_total(), reference.delayed_total())
-            << "step " << step;
-      }
-      while (!in_flight.empty()) {
-        const std::size_t w = in_flight.back();
-        in_flight.pop_back();
-        transport.deliver(w);
-        reference.arrive(w);
-      }
-
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(recorders[i].tags, reference.delivered(i)) << "node " << i;
-      }
-      EXPECT_EQ(layer.delayed_total(), reference.delayed_total());
-      EXPECT_GT(layer.delayed_total(), 0u);  // the buffering path ran
-      EXPECT_GT(layer.severed(), 0u);
-      EXPECT_EQ(layer.buffered(), 0u);
-      EXPECT_EQ(reference.buffered(), 0u);
+      check_against_rst(n, seed, /*hubs=*/false);
+    }
+    for (const std::size_t n : {8, 32}) {
+      SCOPED_TRACE("hubs, n " + std::to_string(n) + " seed " +
+                   std::to_string(seed));
+      check_against_rst(n, seed, /*hubs=*/true);
     }
   }
+}
+
+// One scripted run through the layer and the whole-matrix reference side
+// by side, over four nodes A(0), B(1), C(2) and D(3): every arrival checks
+// that both hold back the same messages.  Each CausalTest.Rule* case below
+// shows one pruning rule (causal_layer.h) drop a cell that whole-matrix
+// RST would send, and a later message still held exactly where RST holds
+// it.
+class Scripted {
+ public:
+  static constexpr std::size_t kNodes = 4;
+  Scripted() : layer_(transport_), reference_(kNodes), recorders_(kNodes) {
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      layer_.attach(NodeAddress(static_cast<std::uint32_t>(i)),
+                    &recorders_[i]);
+      reference_.attach();
+    }
+  }
+  std::size_t send(std::size_t src, std::size_t dst, const std::string& tag) {
+    layer_.send(NodeAddress(static_cast<std::uint32_t>(src)),
+                NodeAddress(static_cast<std::uint32_t>(dst)),
+                net::make_message<TestMsg>(tag), sim::EventPriority::kNormal);
+    reference_.send(src, dst, tag);
+    return transport_.sent.size() - 1;
+  }
+  void arrive(std::size_t w) {
+    transport_.deliver(w);
+    reference_.arrive(w);
+    EXPECT_EQ(layer_.buffered(), reference_.buffered()) << "message " << w;
+  }
+  // How many SENT cells message `w` carries, read off its wire size.
+  [[nodiscard]] std::size_t entries(std::size_t w) const {
+    return (transport_.sent[w].payload->wire_size() - TestMsg("").wire_size() -
+            4) / 12;
+  }
+  [[nodiscard]] std::size_t buffered() const { return layer_.buffered(); }
+  [[nodiscard]] std::vector<std::string> delivered(std::size_t i) const {
+    EXPECT_EQ(recorders_[i].tags, reference_.delivered(i)) << "node " << i;
+    return recorders_[i].tags;
+  }
+
+ private:
+  ManualTransport transport_;
+  CausalLayer layer_;
+  RstReference reference_;
+  std::vector<Recorder> recorders_;
+};
+
+constexpr std::size_t kA = 0, kB = 1, kC = 2, kD = 3;
+
+// (a) A node keeps no column of its own, but its in-flight self-send still
+// gates a message that follows it around the network.
+TEST_F(CausalTest, RuleAOwnColumnIsDroppedButSelfSendStillGates) {
+  Scripted run;
+  run.arrive(run.send(kB, kA, "m1"));  // RST: SENT_A[B][A] = 1
+  const std::size_t s = run.send(kA, kA, "s");  // in flight
+  const std::size_t y = run.send(kA, kC, "y");
+  EXPECT_EQ(run.entries(y), 1u);  // [A][A]; RST also sends [B][A]
+  run.arrive(y);
+  const std::size_t z = run.send(kC, kA, "z");
+  EXPECT_EQ(run.entries(z), 2u);  // [A][A] and (rule (d)) [A][C]
+  run.arrive(z);                  // held: s -> y -> z
+  EXPECT_EQ(run.buffered(), 1u);
+  run.arrive(s);
+  EXPECT_EQ(run.delivered(kA), (std::vector<std::string>{"m1", "s", "z"}));
+}
+
+// (b) A message to B skips B's own row: B counts its own sends exactly.
+TEST_F(CausalTest, RuleBMessageSkipsReceiversOwnRow) {
+  Scripted run;
+  const std::size_t bc = run.send(kB, kC, "bc");  // in flight
+  run.arrive(run.send(kB, kD, "bd"));             // D learns [B][C]
+  run.arrive(run.send(kD, kA, "da"));             // A learns [B][C]
+  const std::size_t ab = run.send(kA, kB, "ab");
+  EXPECT_EQ(run.entries(ab), 0u);  // RST sends [B][C], [B][D] and [D][A]
+  const std::size_t ac = run.send(kA, kC, "ac");
+  EXPECT_EQ(run.entries(ac), 2u);  // [B][C] and [A][B]
+  run.arrive(ac);                  // held: bc -> bd -> da -> ac
+  run.arrive(ab);
+  const std::size_t bc2 = run.send(kB, kC, "bc2");
+  run.arrive(bc2);  // held behind bc on its link
+  EXPECT_EQ(run.buffered(), 2u);
+  run.arrive(bc);
+  EXPECT_EQ(run.delivered(kC),
+            (std::vector<std::string>{"bc", "ac", "bc2"}));
+}
+
+// (c) Once A has sent to C, A's next message elsewhere leaves out the cell
+// [B][C] it carried there: A's own count [A][C] implies it.
+TEST_F(CausalTest, RuleCCellImpliedBySendToItsColumnIsSkipped) {
+  Scripted run;
+  const std::size_t bc = run.send(kB, kC, "bc");  // in flight
+  run.arrive(run.send(kB, kA, "ba"));             // A learns [B][C]
+  const std::size_t ac = run.send(kA, kC, "ac");  // carries [B][C]
+  const std::size_t ad = run.send(kA, kD, "ad");
+  EXPECT_EQ(run.entries(ad), 1u);  // [A][C]; RST also sends [B][C], [B][A]
+  run.arrive(ad);
+  const std::size_t dc = run.send(kD, kC, "dc");
+  EXPECT_EQ(run.entries(dc), 1u);  // [A][C] only
+  run.arrive(dc);  // held on [A][C], as RST holds it on [B][C] too
+  run.arrive(ac);  // held on [B][C]
+  EXPECT_EQ(run.buffered(), 2u);
+  run.arrive(bc);
+  EXPECT_EQ(run.delivered(kC), (std::vector<std::string>{"bc", "ac", "dc"}));
+}
+
+// (d) B reports how many of A's messages it has delivered; A then drops
+// its own cell [A][B] until it sends B another message, which the next one
+// on the link again waits for.
+TEST_F(CausalTest, RuleDAcknowledgedOwnRowCellIsSkipped) {
+  Scripted run;
+  run.arrive(run.send(kA, kB, "ab"));
+  const std::size_t ba = run.send(kB, kA, "ba");
+  EXPECT_EQ(run.entries(ba), 1u);  // B has delivered 1 from A, as [A][B]
+  run.arrive(ba);
+  const std::size_t ac = run.send(kA, kC, "ac");
+  EXPECT_EQ(run.entries(ac), 0u);  // RST sends [A][B] and [B][A]
+  const std::size_t ab2 = run.send(kA, kB, "ab2");
+  EXPECT_EQ(run.entries(ab2), 2u);  // [A][C] and, rule (d), [B][A]
+  const std::size_t ab3 = run.send(kA, kB, "ab3");
+  EXPECT_EQ(run.entries(ab3), 1u);  // [A][B] = 2
+  run.arrive(ab3);                  // held behind ab2
+  EXPECT_EQ(run.buffered(), 1u);
+  run.arrive(ab2);
+  run.arrive(ac);
+  EXPECT_EQ(run.delivered(kB),
+            (std::vector<std::string>{"ab", "ab2", "ab3"}));
 }
 
 // Long causal chains across all three nodes stay ordered under jitter.

@@ -265,19 +265,23 @@ TEST(PoolAlloc, RecyclesBlocksThroughTheMagazine) {
   EXPECT_EQ(pool::class_of(1), 0);
   EXPECT_EQ(pool::class_of(32), 0);
   EXPECT_EQ(pool::class_of(33), 1);
-  EXPECT_EQ(pool::class_of(512), pool::kClassCount - 1);
-  EXPECT_EQ(pool::class_of(513), -1);
+  EXPECT_EQ(pool::class_of(513), pool::class_of(768));
+  EXPECT_EQ(pool::class_of(4096), pool::kClassCount - 1);
+  EXPECT_EQ(pool::class_of(4097), -1);
 
-  void* a = pool::allocate(96);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % pool::kMaxAlign, 0u);
-  pool::deallocate(a, 96);
+  // A message-sized block and a causal-piggyback-sized one (over 512 B).
+  for (const std::size_t bytes : {std::size_t{96}, std::size_t{3000}}) {
+    void* a = pool::allocate(bytes);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % pool::kMaxAlign, 0u);
+    pool::deallocate(a, bytes);
 #if !defined(RDP_POOL_PASSTHROUGH)
-  // LIFO magazine: a freed block is the next one handed out, so the
-  // steady-state message path cycles through a handful of warm blocks.
-  void* b = pool::allocate(96);
-  EXPECT_EQ(b, a);
-  pool::deallocate(b, 96);
+    // LIFO magazine: a freed block is the next one handed out, so the
+    // steady-state message path cycles through a handful of warm blocks.
+    void* b = pool::allocate(bytes);
+    EXPECT_EQ(b, a);
+    pool::deallocate(b, bytes);
 #endif
+  }
 }
 
 TEST(PoolAlloc, AllocateSharedUsesOnePooledBlock) {

@@ -186,7 +186,7 @@ proxies_created 186
 placement_jain 0.94866732477788751
 placement_max_to_mean 1.4838709677419355
 wired_messages 568
-wired_bytes 107650
+wired_bytes 51874
 delproxy_with_pending 0
 stale_acks 0
 requests_dropped_preproxy 1
@@ -197,10 +197,10 @@ analyzer_events 475
 analyzer_decode_errors 0
 kernel_events 3093
 wired_by_type 601e03ecc1bf6b8c
-cost_csv 26df41374b1c03d7
+cost_csv 79d89429fab3d1e4
 counters 55c2334281737c7b
 trace e12ddb632e94ff84
-metrics ea9de9051d56b978
+metrics 1cbb2053f5634c63
 analyzer 7fc27d8ac94506a3
 )");
   // The scenario exercises what it names.
@@ -250,7 +250,7 @@ proxies_created 165
 placement_jain 0.84074485825458589
 placement_max_to_mean 1.8909090909090909
 wired_messages 552
-wired_bytes 109805
+wired_bytes 49925
 delproxy_with_pending 0
 stale_acks 0
 requests_dropped_preproxy 0
@@ -261,9 +261,9 @@ analyzer_events 442
 analyzer_decode_errors 0
 kernel_events 1903
 wired_by_type 4a0aec9b8188c9f4
-cost_csv 41711a3ce091b5be
+cost_csv 15b04790c6c142cc
 counters 132685fe071accd7
-metrics 87bb5940dbe91ee7
+metrics a1d8fe3f54fc409a
 analyzer bcd552af622fdeec
 )");
   EXPECT_EQ(result.counters.at("membership.departures"), 1u);
